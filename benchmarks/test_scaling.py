@@ -128,7 +128,6 @@ def test_parallel_driver_scaling(benchmark, tables, jobs):
 
 _ABLATION_METRICS = (
     "solver.checks",
-    "solver.entails",
     "executor.entails_calls",
     "executor.states_explored",
     "solver.memo_hits",
@@ -173,7 +172,7 @@ def _ablation_run(source: str, name: str, budget: int, **toggles) -> dict:
         # path); every cache tier answers without incrementing it.
         "solver_calls": delta["solver.checks"],
         # Structural query-entailment checks (worklist subsumption +
-        # refuted-state cache), not the dead solver.entails atom check.
+        # refuted-state cache).
         "entails_calls": delta["executor.entails_calls"],
         "states_explored": delta["executor.states_explored"],
         "memo_hit_rate": round(

@@ -5,7 +5,7 @@ package makes the pruning itself cheap by never paying for the same work
 twice:
 
 * :mod:`repro.perf.memo` — LRU-bounded memo tables in front of the
-  decision procedure: ``check_sat``/``entails`` verdicts keyed on the
+  decision procedure: ``check_sat`` verdicts keyed on the
   canonical frozen constraint set (terms are hash-consed by
   :mod:`repro.solver.terms`, so key construction is cheap), plus the
   per-component verdict table of the relevance-partitioned solver path
@@ -38,11 +38,8 @@ from .memo import SOLVER_MEMO, SOLVER_PARTITION, LRUCache, SolverMemo, SolverPar
 CACHE_METRIC_NAMES = (
     "solver.checks",
     "solver.unsat",
-    "solver.entails",
     "solver.memo_hits",
     "solver.memo_misses",
-    "solver.entails_memo_hits",
-    "solver.entails_memo_misses",
     "solver.partitions",
     "solver.context_hits",
     "solver.component_memo_hits",
@@ -77,7 +74,6 @@ def refresh_intern_gauges() -> None:
     sizes = SOLVER_MEMO.sizes()
     metrics.gauge("solver.memo_check_size").set(sizes["check"])
     metrics.gauge("solver.memo_component_size").set(sizes["component"])
-    metrics.gauge("solver.memo_entailment_size").set(sizes["entailment"])
     metrics.gauge("solver.memo_capacity").set(sizes["capacity"])
 
 
@@ -115,14 +111,6 @@ def cache_report(extra_snapshots: list | None = None) -> dict:
             "hit_rate": _rate(
                 merged.get("solver.memo_hits", 0),
                 merged.get("solver.memo_misses", 0),
-            ),
-        },
-        "entails_memo": {
-            "hits": merged.get("solver.entails_memo_hits", 0),
-            "misses": merged.get("solver.entails_memo_misses", 0),
-            "hit_rate": _rate(
-                merged.get("solver.entails_memo_hits", 0),
-                merged.get("solver.entails_memo_misses", 0),
             ),
         },
         "refuted_states": {

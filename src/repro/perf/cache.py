@@ -23,9 +23,10 @@ The store is **lock-striped**: keys hash onto independently locked
 segments so the driver's thread-pool workers rarely contend. Entailment
 probes run *under* the stripe lock because structural entailment
 (:func:`repro.symbolic.simplification.query_entails`) path-compresses the
-stored query's union-find — a benign mutation single-threaded, a data race
-otherwise. A cache instance must never be shared across different
-programs/points-to results/roots; the driver scopes one per run.
+stored query's union-find and fills its cached canonical forms — benign
+mutations single-threaded, data races otherwise. A cache instance must
+never be shared across different programs/points-to results/roots; the
+driver scopes one per run.
 
 Two sharing mechanisms layer on top:
 

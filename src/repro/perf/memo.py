@@ -8,8 +8,8 @@ parallel edge jobs traverse the same callees. With terms hash-consed
 plus the non-null root set — costs one frozenset build, so a table lookup
 is far cheaper than even our small Fourier–Motzkin runs.
 
-Both tables are pure-function caches: ``check_sat`` and ``entails`` depend
-only on their arguments, so there is no invalidation story — only an LRU
+Both tables are pure-function caches: a ``check_sat`` verdict depends
+only on its arguments, so there is no invalidation story — only an LRU
 bound to keep memory flat on long runs. The process-wide instance
 :data:`SOLVER_MEMO` is switched off by ``SearchConfig.memoize_solver=False``
 (CLI ``--no-memo``); hit/miss tallies are reported by the callers in
@@ -90,17 +90,16 @@ class SolverMemo:
     ``component`` keys per-component verdicts (the relevance-partitioned
     path of :mod:`repro.solver.partition`, where the key space collapses
     from "every distinct path constraint" to "every distinct constraint
-    fragment"); ``entailment`` keys :func:`repro.solver.core.entails`.
+    fragment").
     """
 
-    __slots__ = ("enabled", "check", "entailment", "component")
+    __slots__ = ("enabled", "check", "component")
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is None:
             capacity = _configured_capacity()
         self.enabled = True
         self.check = LRUCache(capacity)
-        self.entailment = LRUCache(capacity)
         self.component = LRUCache(capacity)
 
     def set_enabled(self, enabled: bool) -> None:
@@ -108,20 +107,17 @@ class SolverMemo:
 
     def clear(self) -> None:
         self.check.clear()
-        self.entailment.clear()
         self.component.clear()
 
     def sizes(self) -> dict:
         return {
             "check": len(self.check),
-            "entailment": len(self.entailment),
             "component": len(self.component),
             "capacity": self.component.capacity,
         }
 
 
-#: Process-wide instance consulted by :func:`repro.solver.core.check_sat`
-#: and :func:`repro.solver.core.entails`.
+#: Process-wide instance consulted by :func:`repro.solver.core.check_sat`.
 SOLVER_MEMO = SolverMemo()
 
 

@@ -40,12 +40,9 @@ FM_ATOM_BUDGET = 400
 _CHECKS = metrics.counter("solver.checks")
 _UNSAT = metrics.counter("solver.unsat")
 _GIVEUPS = metrics.counter("solver.fm_giveups")
-_ENTAILS = metrics.counter("solver.entails")
 _CHECK_ATOMS = metrics.histogram("solver.check_atoms")
 _MEMO_HITS = metrics.counter("solver.memo_hits")
 _MEMO_MISSES = metrics.counter("solver.memo_misses")
-_ENTAILS_MEMO_HITS = metrics.counter("solver.entails_memo_hits")
-_ENTAILS_MEMO_MISSES = metrics.counter("solver.entails_memo_misses")
 # Relevance-partitioned path (repro.solver.partition): queries partitioned,
 # components per query, atoms per component, and the three ways a component
 # can be answered without an actual decision-procedure run.
@@ -62,7 +59,7 @@ class SolverStats:
     """Per-search counters (compatibility view over the repro.obs registry:
     the process-wide totals live in ``solver.*`` metrics).
 
-    ``checks``/``unsat``/``entails`` count *queries asked and their
+    ``checks``/``unsat`` count *queries asked and their
     verdicts* — they are memoization-invariant, so per-search accounting
     (and tests pinning exact counts) reads the same with caches on or off.
     ``memo_hits``/``memo_misses`` say how many of those queries were
@@ -75,7 +72,6 @@ class SolverStats:
         self.checks = 0
         self.unsat = 0
         self.fm_giveups = 0
-        self.entails = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.context_hits = 0
@@ -84,7 +80,7 @@ class SolverStats:
     def __repr__(self) -> str:
         return (
             f"SolverStats(checks={self.checks}, unsat={self.unsat},"
-            f" giveups={self.fm_giveups}, entails={self.entails},"
+            f" giveups={self.fm_giveups},"
             f" memo_hits={self.memo_hits}, memo_misses={self.memo_misses},"
             f" context_hits={self.context_hits},"
             f" component_hits={self.component_hits})"
@@ -336,42 +332,15 @@ def _decide_component(
         return _check_linear(lin_atoms, stats)
 
 
-def entails(
-    stronger: Iterable[Atom],
-    weaker: Iterable[Atom],
-    stats: Optional[SolverStats] = None,
-) -> bool:
-    """Conservative syntactic entailment: every atom of ``weaker`` appears
-    in ``stronger`` (after normalization). Used by query subsumption, where
-    a miss only costs re-exploration, never soundness. Memoized like
-    :func:`check_sat` on the pair of normalized frozen atom sets."""
-    from ..perf.memo import SOLVER_MEMO
+def entails(stronger: Iterable[Atom], weaker: Iterable[Atom]) -> bool:
+    """Syntactic atom-set inclusion: every atom of ``weaker`` appears in
+    ``stronger`` up to reference-atom orientation.
 
-    stats = stats or GLOBAL_STATS
-    stats.entails += 1
-    _ENTAILS.inc()
-    with trace.span("solver.entails"):
-        have = frozenset(_normalize(a) for a in stronger)
-        want = frozenset(_normalize(a) for a in weaker)
-        if SOLVER_MEMO.enabled:
-            memo_key = (have, want)
-            cached = SOLVER_MEMO.entailment.get(memo_key)
-            if cached is not None:
-                stats.memo_hits += 1
-                _ENTAILS_MEMO_HITS.inc()
-                return cached
-            stats.memo_misses += 1
-            _ENTAILS_MEMO_MISSES.inc()
-            result = want <= have
-            SOLVER_MEMO.entailment.put(memo_key, result)
-            return result
-        return want <= have
-
-
-def _normalize(atom: Atom) -> Atom:
-    if isinstance(atom, RefAtom):
-        return atom.normalized()
-    return atom
+    The analysis does not call this — query subsumption is
+    :func:`repro.symbolic.simplification.query_entails`, which matches
+    memory as well. It is kept, unmemoized, because ``perfbench/layers.py``
+    wraps it by name as part of the solver layer."""
+    return {a.normalized() for a in weaker} <= {a.normalized() for a in stronger}
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,10 @@ class LinAtom:
     def rename(self, mapping: Mapping[Var, Var]) -> "LinAtom":
         return LinAtom(self.op, self.expr.rename(mapping))
 
+    def normalized(self) -> "LinAtom":
+        """Linear atoms are canonical at construction."""
+        return self
+
     def vars(self) -> frozenset[Var]:
         return self.expr.vars()
 

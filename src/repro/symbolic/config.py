@@ -60,7 +60,7 @@ class SearchConfig:
     max_loop_passes: int = 10
     #: Query-history subsumption at loop heads and procedure boundaries.
     simplify_queries: bool = True
-    #: Memoize solver verdicts (check_sat/entails) on canonical frozen
+    #: Memoize ``check_sat`` verdicts on canonical frozen
     #: constraint sets (CLI ``--no-memo`` disables). Process-wide: the
     #: engine applies it to :data:`repro.perf.SOLVER_MEMO` at construction.
     memoize_solver: bool = True

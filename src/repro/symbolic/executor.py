@@ -883,7 +883,7 @@ class Engine:
                     q2.del_local(cmd.lhs)
             fid = q2.push_frame(callee_qname, cmd.label)
             if ret_val is not None:
-                q2.locals[(fid, "$ret")] = ret_val
+                q2.set_local("$ret", ret_val, frame=fid, touch=False)
             k = (StmtTask(callee.body), (EnterMethodTask(callee_qname), rest))
             out.append(PathState(k, q2, trace))
         if not out:
@@ -1002,17 +1002,14 @@ class Engine:
         if cmd.lhs is not None:
             q.del_local(cmd.lhs)
         if mod.calls_unknown:
-            q.statics.clear()
-            q.field_cells.clear()
-            q.array_cells = []
+            q.drop_memory(static=True, field=True, array=True)
             q.touch()
             return
-        for key in [k for k in q.field_cells if mod.writes_field(k[1])]:
-            del q.field_cells[key]
-        for key in [k for k in q.statics if mod.writes_static(k[0], k[1])]:
-            del q.statics[key]
-        if mod.writes_field(ELEMS):
-            q.array_cells = []
+        q.drop_memory(
+            static=lambda key, _: mod.writes_static(*key),
+            field=lambda key, _: mod.writes_field(key[1]),
+            array=mod.writes_field(ELEMS) or None,
+        )
         # Drop constraints on instances the callee may allocate.
         if mod.alloc_sites:
             doomed: set[SymVar] = set()
@@ -1023,22 +1020,13 @@ class Engine:
                 if region is None or any(loc.site in mod.alloc_sites for loc in region):
                     doomed.add(v)
             if doomed:
-                q.locals = {
-                    k: v for k, v in q.locals.items() if q.find(v) not in doomed
-                }
-                q.statics = {
-                    k: v for k, v in q.statics.items() if q.find(v) not in doomed
-                }
-                q.field_cells = {
-                    k: v
-                    for k, v in q.field_cells.items()
-                    if q.find(k[0]) not in doomed and q.find(v) not in doomed
-                }
-                q.array_cells = [
-                    c
-                    for c in q.array_cells
-                    if q.find(c.base) not in doomed and q.find(c.value) not in doomed
-                ]
+                q.drop_memory(
+                    local=lambda _, v: q.find(v) in doomed,
+                    static=lambda _, v: q.find(v) in doomed,
+                    field=lambda k, v: q.find(k[0]) in doomed or q.find(v) in doomed,
+                    array=lambda c: q.find(c.base) in doomed
+                    or q.find(c.value) in doomed,
+                )
         q.touch()
 
     def _filter_dispatch(
@@ -1190,7 +1178,7 @@ class Engine:
                 continue
             if var in params:
                 bindings.append((var, value))
-                del q.locals[(frame, var)]
+                q.del_local(var, frame, touch=False)
             else:
                 # A non-parameter local constrained at entry: the value of
                 # an uninitialized local can satisfy no instance constraint.

@@ -104,11 +104,8 @@ def _saturate(engine: "Engine", loop: "Loop", query: Query) -> list[Query]:
                     _drop_affected_memory(pre, mod)
                     if not pre.failed and not _subsumed(pre, invariant):
                         top = pre
-                        top.locals.clear()
-                        top.statics.clear()
-                        top.field_cells.clear()
-                        top.array_cells.clear()
-                        top.pure = []
+                        top.drop_memory(local=True, static=True, field=True, array=True)
+                        top.drop_pure_if(lambda _: True, touch=False)
                         invariant.append(top)
                         break
     return invariant
@@ -152,20 +149,13 @@ def _drop_unstable_pure(q: Query, mod: ModSet) -> None:
 def _drop_affected_memory(q: Query, mod: ModSet) -> None:
     """The drop-all widening: remove every memory constraint whose location
     the loop may write."""
-    for (frame, var) in [
-        key
-        for key in q.locals
-        if key[0] == q.current_frame and (key[1] in mod.locals or mod.calls_unknown)
-    ]:
-        del q.locals[(frame, var)]
-    for key in [
-        key for key in q.field_cells if mod.writes_field(key[1])
-    ]:
-        del q.field_cells[key]
-    for key in [key for key in q.statics if mod.writes_static(key[0], key[1])]:
-        del q.statics[key]
-    if mod.writes_field("@elems") or mod.calls_unknown:
-        q.array_cells = []
+    q.drop_memory(
+        local=lambda key, _: key[0] == q.current_frame
+        and (key[1] in mod.locals or mod.calls_unknown),
+        field=lambda key, _: mod.writes_field(key[1]),
+        static=lambda key, _: mod.writes_static(*key),
+        array=mod.writes_field("@elems") or mod.calls_unknown or None,
+    )
     q.touch()
 
 
@@ -180,7 +170,7 @@ def _bound_materialization(q: Query, baseline_size: int, bound: int) -> None:
             continue
         if q.field_cells:
             newest_key = max(q.field_cells, key=lambda k: q.field_cells[k].vid)
-            del q.field_cells[newest_key]
+            q.drop_memory(field=lambda key, _: key == newest_key)
             q.touch()
             continue
         break

@@ -18,12 +18,26 @@ variables intersects their regions; an empty intersection refutes the query
 (axiom (1) of Section 3.2: ``v from ∅ ⇔ false``). Separation is enforced
 when checking satisfiability: distinct field cells over the same field
 imply their bases are distinct instances.
+
+The solver boundary is incremental. A query carries the forms it hands the
+solver and the entailment check: its pure atoms renamed to union-find roots
+(:meth:`Query.canonical_pure`), the non-null roots
+(:meth:`Query.nonnull_roots`), the separation-implied atoms
+(:meth:`Query.separation_atoms`) and the normalized atom set
+(:meth:`Query.entailment_atoms`). They are carried through :meth:`Query.copy`
+and recomputed only for what changed: a new pure atom is renamed alone, a
+union re-canonicalizes, a memory or null-ness change rebuilds only the
+memory-derived forms. This invalidation is separate from ``version``, which
+marks *relevance* (guard skipping and the satisfiability cache) and is
+bumped exactly where the constraints change meaning. Every change to the
+memory, the null-ness or the pure atoms therefore goes through a
+:class:`Query` method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Optional, Union
 
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, SolverContext, check_sat, ref_eq, ref_ne
@@ -55,6 +69,16 @@ class ArrayCell:
     value: SymVar
 
 
+_Select = Union[None, bool, Callable[..., bool]]
+
+
+def _keep(table: dict, select: _Select) -> dict:
+    """``table`` without the entries ``select`` picks (``True``: all)."""
+    if select is True:
+        return {}
+    return {k: v for k, v in table.items() if not select(k, v)}
+
+
 class Query:
     """One conjunction in the refutation state (mutable, copy-on-fork)."""
 
@@ -77,6 +101,11 @@ class Query:
         "_sat_version",
         "_sat_result",
         "solver_ctx",
+        # Derived solver-boundary forms; ``None`` = recompute on demand.
+        "_canon",
+        "_nonnull",
+        "_sep",
+        "_entail",
     )
 
     def __init__(self, current_method: str) -> None:
@@ -98,6 +127,10 @@ class Query:
         self._sat_version = -1
         self._sat_result = True
         self.solver_ctx: Optional[SolverContext] = None
+        self._canon: Optional[list[Atom]] = None  # parallel to ``pure``
+        self._nonnull: Optional[frozenset[SymVar]] = None
+        self._sep: Optional[list[Atom]] = None
+        self._entail: Optional[frozenset[Atom]] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -124,6 +157,12 @@ class Query:
         # verdicts (key fully determines verdict), so parent, children,
         # and siblings safely reuse one map (see repro.solver.partition).
         q.solver_ctx = self.solver_ctx
+        # The canonical list grows in place, so each copy owns one; the
+        # other forms are only ever replaced, never mutated, so share them.
+        q._canon = None if self._canon is None else list(self._canon)
+        q._nonnull = self._nonnull
+        q._sep = self._sep
+        q._entail = self._entail
         return q
 
     def touch(self) -> None:
@@ -134,6 +173,24 @@ class Query:
         self.fail_reason = reason
         self.touch()
 
+    # -- derived-form invalidation -------------------------------------------------
+    #
+    # Kept apart from ``touch``: ``version`` tracks guard relevance, and some
+    # mutations (the disaliasing drops, entry bindings) deliberately leave it.
+
+    def _roots_changed(self) -> None:
+        """A union moved roots: every derived form is stale."""
+        self._canon = None
+        self._entail = None
+        self._nonnull = None
+        self._sep = None
+
+    def _memory_changed(self, cells: bool) -> None:
+        """Memory or null-ness changed; ``cells`` when heap cells did."""
+        self._nonnull = None
+        if cells:
+            self._sep = None
+
     # -- symbolic variables ------------------------------------------------------------
 
     def new_ref(
@@ -141,6 +198,8 @@ class Query:
     ) -> SymVar:
         v = fresh_ref(hint)
         if maybe_null:
+            # A fresh variable is in no memory constraint yet, so the
+            # non-null roots are unaffected.
             self.maybe_null.add(v)
         if region is not None:
             self.regions[v] = frozenset(region)
@@ -154,7 +213,7 @@ class Query:
         null (axiom (1) applies only to instances); otherwise refute."""
         root = self.find(v)
         if root in self.maybe_null:
-            self.pure.append((ref_eq_null(root), False))
+            self._append_pure(ref_eq_null(root), False)
             self.touch()
         else:
             self.fail(f"instance constraint: {v} from ∅")
@@ -164,6 +223,9 @@ class Query:
         return fresh_data(hint)
 
     def find(self, v: SymVar) -> SymVar:
+        # Most variables are their own roots: answer those without a call.
+        if self.uf.parent.get(v, v) is v:
+            return v
         return self.uf.find(v)  # type: ignore[return-value]
 
     def region_of(self, v: SymVar) -> Region:
@@ -176,6 +238,7 @@ class Query:
         root = self.find(v)
         if root in self.maybe_null:
             self.maybe_null.discard(root)
+            self._memory_changed(cells=False)
             region = self.regions.get(root)
             if region is not None and not region:
                 self.fail(f"instance constraint: {v} from ∅")
@@ -209,6 +272,7 @@ class Query:
                 self.fail("kind mismatch in unification")
                 return False
             new_root = self.uf.union(rx, ry)
+            self._roots_changed()
             old_root = rx if new_root is ry else ry
             region_old = self.regions.pop(old_root, None)
             region_new = self.regions.pop(new_root, None)
@@ -270,22 +334,35 @@ class Query:
         frame = self.current_frame if frame is None else frame
         return self.locals.get((frame, var))
 
-    def set_local(self, var: str, value: SymVar, frame: Optional[int] = None) -> bool:
+    def set_local(
+        self,
+        var: str,
+        value: SymVar,
+        frame: Optional[int] = None,
+        touch: bool = True,
+    ) -> bool:
         """x ↦ value; unifies when x is already constrained (separation:
-        one local, one cell)."""
+        one local, one cell). ``touch=False`` binds a fresh local without
+        bumping ``version`` (a frame push already did)."""
         frame = self.current_frame if frame is None else frame
         existing = self.locals.get((frame, var))
         if existing is not None:
             return self.unify(existing, value)
         self.locals[(frame, var)] = value
-        self.touch()
+        self._memory_changed(cells=False)
+        if touch:
+            self.touch()
         return True
 
-    def del_local(self, var: str, frame: Optional[int] = None) -> None:
+    def del_local(
+        self, var: str, frame: Optional[int] = None, touch: bool = True
+    ) -> None:
         frame = self.current_frame if frame is None else frame
         if (frame, var) in self.locals:
             del self.locals[(frame, var)]
-            self.touch()
+            self._memory_changed(cells=False)
+            if touch:
+                self.touch()
 
     def get_static(self, class_name: str, field_name: str) -> Optional[SymVar]:
         return self.statics.get((class_name, field_name))
@@ -295,12 +372,14 @@ class Query:
         if existing is not None:
             return self.unify(existing, value)
         self.statics[(class_name, field_name)] = value
+        self._memory_changed(cells=False)
         self.touch()
         return True
 
     def del_static(self, class_name: str, field_name: str) -> None:
         if (class_name, field_name) in self.statics:
             del self.statics[(class_name, field_name)]
+            self._memory_changed(cells=False)
             self.touch()
 
     def get_field(self, base: SymVar, field_name: str) -> Optional[SymVar]:
@@ -313,6 +392,7 @@ class Query:
         if existing is not None:
             return self.unify(existing, value)
         self.field_cells[(root, field_name)] = value
+        self._memory_changed(cells=True)
         self.touch()
         return True
 
@@ -320,6 +400,7 @@ class Query:
         key = (self.find(base), field_name)
         if key in self.field_cells:
             del self.field_cells[key]
+            self._memory_changed(cells=True)
             self.touch()
 
     def add_array_cell(self, base: SymVar, index: SymVar, value: SymVar) -> bool:
@@ -330,12 +411,39 @@ class Query:
             ) is self.find(index):
                 return self.unify(cell.value, value)
         self.array_cells.append(ArrayCell(base, index, value))
+        self._memory_changed(cells=True)
         self.touch()
         return True
 
     def remove_array_cell(self, cell: ArrayCell) -> None:
         self.array_cells = [c for c in self.array_cells if c is not cell]
+        self._memory_changed(cells=True)
         self.touch()
+
+    def drop_memory(
+        self,
+        local: _Select = None,
+        static: _Select = None,
+        field: _Select = None,
+        array: _Select = None,
+    ) -> None:
+        """Remove the memory constraints each selector picks: ``local``,
+        ``static`` and ``field`` are called with ``(key, value)``, ``array``
+        with a cell, and ``True`` picks every constraint of its kind.
+
+        Does not bump ``version``: callee skips and loop widening decide
+        themselves when the query's meaning has changed."""
+        if local is not None:
+            self.locals = _keep(self.locals, local)
+        if static is not None:
+            self.statics = _keep(self.statics, static)
+        if field is not None:
+            self.field_cells = _keep(self.field_cells, field)
+        if array is not None:
+            self.array_cells = (
+                [] if array is True else [c for c in self.array_cells if not array(c)]
+            )
+        self._memory_changed(cells=field is not None or array is not None)
 
     # -- pure constraints -------------------------------------------------------------
 
@@ -347,29 +455,60 @@ class Query:
             # refutation usually needs, so they are retained.
             if sum(1 for _, g in self.pure if g) >= cap:
                 return
-        self.pure.append((atom, guard))
+        self._append_pure(atom, guard)
         self.touch()
 
-    def drop_pure_if(self, predicate) -> int:
-        """Drop pure atoms satisfying ``predicate(atom)``; returns count."""
-        kept = [(a, g) for a, g in self.pure if not predicate(a)]
-        dropped = len(self.pure) - len(kept)
+    def _append_pure(self, atom: Atom, guard: bool) -> None:
+        self.pure.append((atom, guard))
+        if self._canon is not None:
+            self._canon.append(self._canonical(atom))
+        self._entail = None
+
+    def drop_pure_if(self, predicate, touch: bool = True) -> int:
+        """Drop pure atoms satisfying ``predicate(atom)``; returns count.
+        ``touch=False`` leaves ``version`` alone (the disaliasing drops)."""
+        keep = [not predicate(a) for a, _ in self.pure]
+        dropped = keep.count(False)
         if dropped:
-            self.pure = kept
-            self.touch()
+            self.pure = [entry for entry, k in zip(self.pure, keep) if k]
+            if self._canon is not None:
+                self._canon = [atom for atom, k in zip(self._canon, keep) if k]
+            self._entail = None
+            if touch:
+                self.touch()
         return dropped
 
+    def _canonical(self, atom: Atom) -> Atom:
+        """``atom`` with its variables renamed to their union-find roots."""
+        mapping = None
+        for v in atom.vars():
+            if isinstance(v, SymVar):
+                root = self.find(v)
+                if root is not v:
+                    if mapping is None:
+                        mapping = {}
+                    mapping[v] = root
+        return atom if mapping is None else atom.rename(mapping)
+
     def canonical_pure(self) -> list[Atom]:
-        mapping = {}
-        for atom, _ in self.pure:
-            for v in atom.vars():
-                if isinstance(v, SymVar):
-                    mapping[v] = self.find(v)
-        return [atom.rename(mapping) for atom, _ in self.pure]
+        """The pure atoms renamed to union-find roots, in ``pure`` order.
+        Cached and shared: callers must not mutate the list."""
+        if self._canon is None:
+            self._canon = [self._canonical(atom) for atom, _ in self.pure]
+        return self._canon
+
+    def entailment_atoms(self) -> frozenset[Atom]:
+        """The normalized canonical pure atoms: the set a weaker query's
+        pure constraints must fall into for this query to entail it."""
+        if self._entail is None:
+            self._entail = frozenset(a.normalized() for a in self.canonical_pure())
+        return self._entail
 
     # -- satisfiability ---------------------------------------------------------------
 
     def nonnull_roots(self) -> frozenset[SymVar]:
+        if self._nonnull is not None:
+            return self._nonnull
         roots: set[SymVar] = set()
         for value in list(self.locals.values()) + list(self.statics.values()):
             root = self.find(value)
@@ -385,10 +524,14 @@ class Query:
             root = self.find(cell.value)
             if root.is_ref and root not in self.maybe_null:
                 roots.add(root)
-        return frozenset(roots)
+        self._nonnull = frozenset(roots)
+        return self._nonnull
 
     def separation_atoms(self) -> list[Atom]:
-        """Disequalities implied by the separating conjunction."""
+        """Disequalities implied by the separating conjunction. Cached and
+        shared: callers must not mutate the list."""
+        if self._sep is not None:
+            return self._sep
         atoms: list[Atom] = []
         by_field: dict[str, list[SymVar]] = {}
         for (base, field_name), _ in self.field_cells.items():
@@ -407,6 +550,7 @@ class Query:
                         LinExpr.var(self.find(cj.index))
                     )
                     atoms.append(LinAtom("!=", expr))
+        self._sep = atoms
         return atoms
 
     def check_sat(self, stats: Optional[SolverStats] = None) -> bool:

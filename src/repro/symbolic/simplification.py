@@ -18,13 +18,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import metrics
-from ..solver import Atom
 from .query import Query
 from .symvar import SymVar
 
 # Structural query-entailment calls (worklist subsumption, refuted-state
-# cache, query histories). This — not the dead ``solver.entails`` atom-set
-# check — is what the ablation grid's ``entails_calls`` column reports.
+# cache, query histories): what the ablation grid's ``entails_calls``
+# column reports.
 _ENTAILS_CALLS = metrics.counter("executor.entails_calls")
 
 
@@ -113,7 +112,7 @@ def query_entails(strong: Query, weak: Query) -> bool:
     # appear only in pure atoms (not anchored in memory) default to the
     # identity mapping — forked queries share SymVar objects, so a
     # free-floating variable denotes the same existential in both.
-    strong_atoms = {_norm(a) for a in strong.canonical_pure()}
+    strong_atoms = strong.entailment_atoms()
     for atom in weak.canonical_pure():
         rename: dict[SymVar, SymVar] = {}
         for v in atom.vars():
@@ -121,18 +120,9 @@ def query_entails(strong: Query, weak: Query) -> bool:
                 continue
             wroot = weak.find(v)
             rename[wroot] = mapping.get(wroot, strong.find(wroot))
-        renamed = atom.rename(rename)
-        if _norm(renamed) not in strong_atoms:
+        if atom.rename(rename).normalized() not in strong_atoms:
             return False
     return True
-
-
-def _norm(atom: Atom):
-    from ..solver.terms import RefAtom
-
-    if isinstance(atom, RefAtom):
-        return atom.normalized()
-    return atom
 
 
 def _frame_map(weak: Query, strong: Query) -> dict[int, int]:

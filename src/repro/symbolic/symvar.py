@@ -21,7 +21,7 @@ DATA = "data"
 class SymVar:
     """An instance variable; hashable, identity-based."""
 
-    __slots__ = ("vid", "kind", "hint")
+    __slots__ = ("vid", "kind", "hint", "_repr")
 
     def __init__(self, kind: str, hint: str = "") -> None:
         if kind not in (REF, DATA):
@@ -29,14 +29,16 @@ class SymVar:
         self.vid = next(_ids)
         self.kind = kind
         self.hint = hint
+        # Rendered once: the repr is the sort key of every LinExpr.of.
+        stem = hint or ("v" if kind == REF else "d")
+        self._repr = f"{stem}̂{self.vid}"
 
     @property
     def is_ref(self) -> bool:
         return self.kind == REF
 
     def __repr__(self) -> str:
-        stem = self.hint or ("v" if self.is_ref else "d")
-        return f"{stem}̂{self.vid}"
+        return self._repr
 
     def __lt__(self, other: "SymVar") -> bool:
         return self.vid < other.vid

@@ -54,6 +54,7 @@ class TransferContext:
     #: classify a kill after the transfer that caused it has returned.
     last_reason: Optional[str] = None
     _site_locs: Optional[dict] = None
+    _pt_fields: dict = field(default_factory=dict)
 
     @property
     def narrowing(self) -> bool:
@@ -76,6 +77,16 @@ class TransferContext:
             self._site_locs = {s: frozenset(v) for s, v in table.items()}
         return self._site_locs.get(site, frozenset({AbsLoc(site)}))
 
+    def pt_field(self, region: frozenset, field_name: str) -> frozenset[AbsLoc]:
+        """pt(y.f) for y from ``region``, memoized like :meth:`site_locs`
+        for the context's (and so the points-to result's) lifetime."""
+        key = (region, field_name)
+        target = self._pt_fields.get(key)
+        if target is None:
+            target = self.pta.pt_field_of_set(region, field_name)
+            self._pt_fields[key] = target
+        return target
+
     def region_local(self, method: str, var: str) -> Optional[frozenset]:
         if not self.narrowing:
             return None
@@ -87,7 +98,7 @@ class TransferContext:
         region = q.region_of(base)
         if region is None:
             return None
-        return self.pta.pt_field_of_set(region, field_name)
+        return self.pt_field(region, field_name)
 
     def region_static(self, class_name: str, field_name: str) -> Optional[frozenset]:
         if not self.narrowing:
@@ -121,7 +132,7 @@ class TransferContext:
                 vreg = q.region_of(value)
                 if breg is None or vreg is None:
                     continue
-                target = self.pta.pt_field_of_set(breg, field_name)
+                target = self.pt_field(breg, field_name)
                 if not vreg <= target:
                     q.narrow(value, target)
                     changed = True
@@ -132,9 +143,7 @@ class TransferContext:
                 vreg = q.region_of(cell.value)
                 if breg is None or vreg is None or not cell.value.is_ref:
                     continue
-                from ..pointsto import ELEMS
-
-                target = self.pta.pt_field_of_set(breg, ELEMS)
+                target = self.pt_field(breg, ELEMS)
                 if not vreg <= target:
                     q.narrow(cell.value, target)
                     changed = True
@@ -718,7 +727,7 @@ def _field_write(cmd: ins.FieldWrite, q: Query, ctx: TransferContext) -> list[Qu
             # passed; drop the explicit disequalities and keep only the
             # separation- and instance-constraint-implied information.
             dropped = set(map(id, diseqs))
-            q.pure = [(a, g) for a, g in q.pure if id(a) not in dropped]
+            q.drop_pure_if(lambda a: id(a) in dropped, touch=False)
             results.append(q)
         else:
             ctx.count_refutation("separation")
@@ -862,7 +871,7 @@ def _array_write(cmd: ins.ArrayWrite, q: Query, ctx: TransferContext) -> list[Qu
                 atom = ref_ne(qb.find(ux), qb.find(cell.base))
                 qb.add_pure(atom)
                 if qb.check_sat(ctx.solver_stats):
-                    qb.pure = [(a, g) for a, g in qb.pure if a is not atom]
+                    qb.drop_pure_if(lambda a: a is atom, touch=False)
                     next_splits.append(qb)
         splits = next_splits
     results.extend(splits)

@@ -162,9 +162,9 @@ class TestSolverMemo:
     def test_set_enabled_and_clear(self):
         memo = SolverMemo(capacity=4)
         memo.check.put("k", True)
-        memo.entailment.put("k", False)
+        memo.component.put("k", False)
         memo.clear()
-        assert len(memo.check) == 0 and len(memo.entailment) == 0
+        assert len(memo.check) == 0 and len(memo.component) == 0
         memo.set_enabled(False)
         assert memo.enabled is False
 

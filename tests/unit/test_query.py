@@ -96,6 +96,17 @@ class TestUnification:
         assert q.find(u1) is q.find(u2)
 
 
+class TestDeepChains:
+    def test_find_after_thousands_of_chained_unifications(self):
+        q = fresh_query()
+        vs = [q.new_ref(None) for _ in range(3_001)]
+        for a, b in zip(vs, vs[1:]):
+            assert q.unify(a, b)
+        root = q.find(vs[0])
+        assert all(q.find(v) is root for v in vs)
+        assert q.check_sat()
+
+
 class TestSeparation:
     def test_local_rebinding_unifies(self):
         q = fresh_query()

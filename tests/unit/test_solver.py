@@ -12,7 +12,6 @@ from repro.solver import (
     LinExpr,
     UnionFind,
     check_sat,
-    entails,
     eq,
     le,
     lt,
@@ -21,6 +20,7 @@ from repro.solver import (
     ref_ne,
     tighten,
 )
+from repro.solver.core import entails
 
 X, Y, Z = "x", "y", "z"
 
@@ -56,6 +56,24 @@ class TestUnionFind:
         other.union("a", "c")
         assert not uf.same("a", "c")
         assert other.same("a", "c")
+
+    def test_long_chain_resolves_without_recursion(self):
+        uf = UnionFind()
+        for i in range(5_000):
+            uf.union(i, i + 1)
+        assert uf.find(0) == 5_000
+        # Path compression: every link on the walked path now points at
+        # the root.
+        assert all(uf.parent[i] == 5_000 for i in range(5_000))
+
+    def test_equal_but_not_identical_items_share_a_class(self):
+        a1, a2 = "".join(["ab", "c"]), "".join(["a", "bc"])
+        assert a1 == a2 and a1 is not a2
+        uf = UnionFind()
+        uf.union(a1, "x")
+        uf.union("x", "y")
+        assert uf.find(a2) == "y"
+        assert uf.same(a2, "x")
 
 
 class TestLinExpr:
