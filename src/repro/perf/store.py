@@ -62,8 +62,10 @@ from typing import Iterable, Optional
 
 from ..obs import metrics
 
-#: Bump when the sqlite layout or the key encoding changes.
-SCHEMA_VERSION = 1
+#: Bump when the sqlite layout, the key encoding or the pickled form of a
+#: refuted query snapshot changes. Version 2: ``Query`` pickles only its
+#: primary state (its derived solver-boundary forms are rebuilt on load).
+SCHEMA_VERSION = 2
 
 #: Bump when the decision procedure's semantics change in a way that can
 #: flip a verdict for the same canonical signature (folded into the

@@ -7,14 +7,12 @@ from typing import Hashable, Iterator
 
 class UnionFind:
     def __init__(self) -> None:
-        #: Parent links; absent items are their own roots. Callers may read
-        #: it for a root fast path, but mutate only through :meth:`union`.
-        self.parent: dict[Hashable, Hashable] = {}
+        self._parent: dict[Hashable, Hashable] = {}
 
     def find(self, item: Hashable) -> Hashable:
         """The class root of ``item``. Iterative, so chains of any length
         resolve; every link on the path is then pointed at the root."""
-        parent = self.parent
+        parent = self._parent
         root = parent.get(item, item)
         if root == item:
             return item
@@ -33,16 +31,16 @@ class UnionFind:
         """Merge the classes of ``a`` and ``b``; returns the new root."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[ra] = rb
+            self._parent[ra] = rb
         return rb
 
     def same(self, a: Hashable, b: Hashable) -> bool:
         return self.find(a) == self.find(b)
 
     def items(self) -> Iterator[Hashable]:
-        return iter(self.parent)
+        return iter(self._parent)
 
     def copy(self) -> "UnionFind":
         fresh = UnionFind()
-        fresh.parent = dict(self.parent)
+        fresh._parent = dict(self._parent)
         return fresh

@@ -1008,7 +1008,7 @@ class Engine:
         q.drop_memory(
             static=lambda key, _: mod.writes_static(*key),
             field=lambda key, _: mod.writes_field(key[1]),
-            array=mod.writes_field(ELEMS) or None,
+            array=mod.writes_field(ELEMS),
         )
         # Drop constraints on instances the callee may allocate.
         if mod.alloc_sites:

@@ -154,7 +154,7 @@ def _drop_affected_memory(q: Query, mod: ModSet) -> None:
         and (key[1] in mod.locals or mod.calls_unknown),
         field=lambda key, _: mod.writes_field(key[1]),
         static=lambda key, _: mod.writes_static(*key),
-        array=mod.writes_field("@elems") or mod.calls_unknown or None,
+        array=mod.writes_field("@elems") or mod.calls_unknown,
     )
     q.touch()
 
@@ -163,14 +163,15 @@ def _bound_materialization(q: Query, baseline_size: int, bound: int) -> None:
     """Enforce the materialization bound: if the fixpoint has grown the
     memory far beyond the original query, drop the newest heap cells."""
     allowance = baseline_size + max(1, bound) * 4
-    while q.memory_size() > allowance:
+    # A failed query is discarded, and a union that failed it may have left
+    # its cells keyed by stale roots (which ``del_field`` would not find).
+    while not q.failed and q.memory_size() > allowance:
         if q.array_cells:
             newest = max(q.array_cells, key=lambda c: c.value.vid)
             q.remove_array_cell(newest)
             continue
         if q.field_cells:
             newest_key = max(q.field_cells, key=lambda k: q.field_cells[k].vid)
-            q.drop_memory(field=lambda key, _: key == newest_key)
-            q.touch()
+            q.del_field(*newest_key)
             continue
         break

@@ -69,7 +69,7 @@ class ArrayCell:
     value: SymVar
 
 
-_Select = Union[None, bool, Callable[..., bool]]
+_Select = Union[bool, Callable[..., bool]]
 
 
 def _keep(table: dict, select: _Select) -> dict:
@@ -107,6 +107,11 @@ class Query:
         "_sep",
         "_entail",
     )
+
+    #: Recomputed on demand, so never pickled: a snapshot's bytes (and the
+    #: verdict store's dedup digest) must not depend on which caches
+    #: happened to be filled.
+    _DERIVED = ("_canon", "_nonnull", "_sep", "_entail")
 
     def __init__(self, current_method: str) -> None:
         self.uf = UnionFind()
@@ -164,6 +169,19 @@ class Query:
         q._sep = self._sep
         q._entail = self._entail
         return q
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in self._DERIVED
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        for name in self._DERIVED:
+            setattr(self, name, None)
 
     def touch(self) -> None:
         self.version += 1
@@ -223,9 +241,6 @@ class Query:
         return fresh_data(hint)
 
     def find(self, v: SymVar) -> SymVar:
-        # Most variables are their own roots: answer those without a call.
-        if self.uf.parent.get(v, v) is v:
-            return v
         return self.uf.find(v)  # type: ignore[return-value]
 
     def region_of(self, v: SymVar) -> Region:
@@ -422,28 +437,29 @@ class Query:
 
     def drop_memory(
         self,
-        local: _Select = None,
-        static: _Select = None,
-        field: _Select = None,
-        array: _Select = None,
+        local: _Select = False,
+        static: _Select = False,
+        field: _Select = False,
+        array: _Select = False,
     ) -> None:
         """Remove the memory constraints each selector picks: ``local``,
         ``static`` and ``field`` are called with ``(key, value)``, ``array``
-        with a cell, and ``True`` picks every constraint of its kind.
+        with a cell; ``True`` picks every constraint of its kind and a
+        false selector none.
 
         Does not bump ``version``: callee skips and loop widening decide
         themselves when the query's meaning has changed."""
-        if local is not None:
+        if local:
             self.locals = _keep(self.locals, local)
-        if static is not None:
+        if static:
             self.statics = _keep(self.statics, static)
-        if field is not None:
+        if field:
             self.field_cells = _keep(self.field_cells, field)
-        if array is not None:
+        if array:
             self.array_cells = (
                 [] if array is True else [c for c in self.array_cells if not array(c)]
             )
-        self._memory_changed(cells=field is not None or array is not None)
+        self._memory_changed(cells=bool(field or array))
 
     # -- pure constraints -------------------------------------------------------------
 

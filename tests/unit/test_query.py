@@ -1,5 +1,7 @@
 """Unit tests for the mixed symbolic-explicit query structure."""
 
+import pickle
+
 from repro.ir.instructions import AllocSite
 from repro.pointsto.graph import AbsLoc
 from repro.solver import NULL, LinExpr, eq, ref_eq
@@ -105,6 +107,54 @@ class TestDeepChains:
         root = q.find(vs[0])
         assert all(q.find(v) is root for v in vs)
         assert q.check_sat()
+
+
+class TestPickling:
+    """Refuted-state snapshots are pickled into the verdict store."""
+
+    def _query(self):
+        q = fresh_query()
+        u, v = q.new_ref(frozenset({A, B})), q.new_ref(frozenset({B, C}))
+        w = q.new_ref(None, maybe_null=True)
+        q.set_local("x", u)
+        q.set_field(u, "f", w)
+        b = q.new_ref(None)
+        q.set_local("y", b)
+        q.set_field(b, "f", q.new_ref(None))
+        d1, d2 = q.new_data(), q.new_data()
+        q.add_pure(ref_eq(w, NULL))
+        q.add_pure(eq(LinExpr.var(d1), LinExpr.var(d2)))
+        q.add_pure(eq(LinExpr.var(d1), LinExpr.constant(1)), guard=True)
+        q.unify(u, v)
+        q.unify(d1, d2)
+        assert q.check_sat()
+        return q
+
+    def test_derived_forms_are_not_pickled(self):
+        q = self._query()
+        cold = pickle.dumps(q)
+        q.canonical_pure(), q.nonnull_roots(), q.separation_atoms()
+        q.entailment_atoms()
+        assert pickle.dumps(q) == cold
+
+    def test_unpickled_query_rebuilds_its_forms(self):
+        q = self._query()
+        expected = (
+            [str(a) for a in q.canonical_pure()],
+            sorted(str(v) for v in q.nonnull_roots()),
+            [str(a) for a in q.separation_atoms()],
+        )
+        loaded = pickle.loads(pickle.dumps(q))
+        assert all(
+            getattr(loaded, name) is None for name in Query._DERIVED
+        )
+        assert (
+            [str(a) for a in loaded.canonical_pure()],
+            sorted(str(v) for v in loaded.nonnull_roots()),
+            [str(a) for a in loaded.separation_atoms()],
+        ) == expected
+        assert query_entails(loaded, loaded.copy())
+        assert loaded.check_sat() == q.check_sat()
 
 
 class TestSeparation:

@@ -64,7 +64,7 @@ class TestUnionFind:
         assert uf.find(0) == 5_000
         # Path compression: every link on the walked path now points at
         # the root.
-        assert all(uf.parent[i] == 5_000 for i in range(5_000))
+        assert all(uf._parent[i] == 5_000 for i in range(5_000))
 
     def test_equal_but_not_identical_items_share_a_class(self):
         a1, a2 = "".join(["ab", "c"]), "".join(["a", "bc"])

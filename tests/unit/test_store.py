@@ -137,6 +137,16 @@ class TestPersistence:
         assert len(store.load_refuted("s")) == 1
         store.close()
 
+    def test_refuted_dedup_ignores_filled_caches(self, tmp_path):
+        store = open_store(tmp_path)
+        q = query_with_region(frozenset({loc("a0")}))
+        store.put_refuted("s", [(("loop", 1), q)])
+        q.nonnull_roots(), q.entailment_atoms()
+        store.put_refuted("s", [(("loop", 1), q)])
+        store.flush()
+        assert len(store.load_refuted("s")) == 1
+        store.close()
+
 
 class TestEviction:
     def test_lru_eviction_keeps_recently_hit_rows(self, tmp_path):
@@ -197,6 +207,17 @@ class TestValidation:
         self._meta_rewrite(tmp_path, "schema_version", str(SCHEMA_VERSION + 1))
         with pytest.raises(StoreInvalid, match="schema version"):
             open_store(tmp_path)
+
+    def test_store_from_schema_1_goes_cold(self, tmp_path):
+        """Schema 1 stores hold refuted queries pickled in the older
+        ``Query`` layout, which unpickles without the derived-form slots;
+        such a store must be rejected whole (cold, one warning), never
+        loaded into queries that fail on their first entailment probe."""
+        assert SCHEMA_VERSION == 2
+        self._meta_rewrite(tmp_path, "schema_version", "1")
+        with pytest.warns(RuntimeWarning, match="schema version"):
+            assert perf_store.attach(str(tmp_path)) is None
+        assert perf_store.ACTIVE is None
 
     def test_fingerprint_mismatch_raises_store_invalid(self, tmp_path):
         self._meta_rewrite(tmp_path, "solver_fingerprint", "0" * 16)
