@@ -1,5 +1,5 @@
 """The adaptive-scheduling perf artifact: fixed schedule vs cost-model
-priorities + cheap-first portfolio (+ work stealing), emitting
+priorities + cheap-first portfolio, emitting
 ``BENCH_sched.json``.
 
 The workload is ``repro.bench.workloads.layered_app``: two-edge heap
@@ -16,9 +16,7 @@ parity, actual decision-procedure runs (the portfolio must cut them by
 the same >= 1.3x bar), and rung-0 resolutions in the report's schedule
 section. Wall-clock ratios are recorded always but asserted only under
 ``REPRO_BENCH_STRICT=1`` at full size — timings need an idle machine to
-mean anything. The work-stealing config reports wall clock only (its
-shared budget makes the counters scheduling-dependent), so the CI
-comparison guard never treats its counters as deterministic.
+mean anything.
 """
 
 import json
@@ -48,7 +46,7 @@ def _solver_checks() -> int:
     return instrument.value if instrument is not None else 0
 
 
-def _run(source: str, deterministic: bool = True, **knobs) -> dict:
+def _run(source: str, **knobs) -> dict:
     """One cold reachability analysis; counters, wall, and schedule."""
     SOLVER_MEMO.clear()  # cold memo: runs must not feed each other
     checks_before = _solver_checks()
@@ -79,13 +77,11 @@ def _run(source: str, deterministic: bool = True, **knobs) -> dict:
         },
         "schedule": report.schedule if report is not None else {},
         "knobs": knobs,
-    }
-    if deterministic:
         # solver.checks counts *actual* decision-procedure runs — a
-        # deterministic axis for serial and (steal-free) pool configs,
-        # so the CI comparison guard can enforce it; the steal config
-        # omits it (shared budgets make exploration order-dependent).
-        entry["solver_calls"] = _solver_checks() - checks_before
+        # deterministic axis for serial and pool configs alike, so the
+        # CI comparison guard can enforce it.
+        "solver_calls": _solver_checks() - checks_before,
+    }
     return entry
 
 
@@ -98,18 +94,9 @@ def test_adaptive_scheduling_emits_bench_sched():
     source = layered_app(n, hard_branches=hard_branches)
 
     grid = {
-        "fixed_serial": dict(deterministic=True),
-        "portfolio_serial": dict(deterministic=True, portfolio=True),
-        "adaptive_jobs4": dict(
-            deterministic=True, portfolio=True, schedule="priority", jobs=4
-        ),
-        "adaptive_steal_jobs4": dict(
-            deterministic=False,
-            portfolio=True,
-            schedule="priority",
-            steal=True,
-            jobs=4,
-        ),
+        "fixed_serial": dict(),
+        "portfolio_serial": dict(portfolio=True),
+        "adaptive_jobs4": dict(portfolio=True, schedule="priority", jobs=4),
     }
     results = {
         name: _run(source, **knobs) for name, knobs in grid.items()
@@ -117,7 +104,7 @@ def test_adaptive_scheduling_emits_bench_sched():
 
     # Verdict parity across the whole grid: scheduling reorders and
     # stages work, never answers (every edge here is refutable well
-    # under budget, so even stealing cannot move a verdict).
+    # under budget).
     verdicts = {json.dumps(r["verdict"], sort_keys=True) for r in results.values()}
     assert len(verdicts) == 1, results
     assert results["fixed_serial"]["verdict"]["status"] == "verified"
@@ -171,9 +158,6 @@ def test_adaptive_scheduling_emits_bench_sched():
             "adaptive_decision_reduction": round(adaptive_reduction, 2),
             "portfolio_serial_wall_speedup": round(serial_speedup, 2),
             "adaptive_jobs4_wall_speedup": round(speedup, 2),
-            "steals": results["adaptive_steal_jobs4"]["schedule"].get(
-                "steals", 0
-            ),
         },
         "schema_version": 1,
     }

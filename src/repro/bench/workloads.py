@@ -251,12 +251,12 @@ def mixed_app(
     whose store guard sits behind ``branches`` nondeterministic updates
     with an unreachable bound, so per-edge search cost scales with the
     branch count while every verdict stays REFUTED — verdicts are
-    schedule-, portfolio-, and steal-independent by construction (the
+    schedule- and portfolio-independent by construction (the
     path-program budget, not wall clock, bounds each search). Putting the
     hard screens at the tail gives naive FIFO dispatch its worst case:
     the tail serializes on the expensive edges exactly when the pool has
-    nothing left to overlap them with — the shape cheap-first priorities,
-    portfolio rungs, and work stealing each attack."""
+    nothing left to overlap them with — the shape cheap-first priorities
+    and portfolio rungs each attack."""
     counts = [easy_branches] * easy + [hard_branches] * hard
     classes = ["class Thing { }", "class Registry { static Thing hold; }"]
     main_lines = []

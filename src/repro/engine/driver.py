@@ -5,7 +5,7 @@ parallel: each points-to edge on an alarm's heap path is refuted (or
 witnessed) *independently* — a refutation is a fact about the whole
 program, never about the alarm that asked. This module exploits that:
 
-* :class:`RefutationDriver` schedules edge-refutation jobs across a
+* :class:`RefutationDriver` schedules refutation jobs across a
   ``concurrent.futures`` worker pool (``--jobs N``), thread- or
   process-backed;
 * a per-edge **wall-clock deadline** (``--deadline S``) is enforced by the
@@ -16,6 +16,14 @@ program, never about the alarm that asked. This module exploits that:
 * every job's outcome is recorded for the structured JSON
   :class:`repro.engine.report.RunReport`, and live
   :mod:`repro.engine.events` are emitted as jobs are scheduled and finish.
+
+Edge and fact jobs share one path: each becomes a :class:`Job` (kind,
+description, engine call), the rung-ladder loop (:meth:`_run_jobs`)
+stages them through the portfolio rungs — one full-budget rung without
+``config.portfolio`` — and one dispatch (:meth:`_dispatch`) runs each
+rung inline or on the pool. Only record keeping differs by kind: edges
+are deduplicated through the engine's edge cache, every fact run gets
+its own record.
 
 ``jobs=1`` runs every job inline on one :class:`Engine` in submission
 order — bit-identical to the sequential seed behavior, which keeps the
@@ -33,9 +41,14 @@ import pickle
 import threading
 import time
 from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 from .. import perf
 from ..obs import metrics, provenance, telemetry, trace
@@ -50,20 +63,13 @@ from .events import (
     EdgeEscalated,
     EdgeFinished,
     EdgeScheduled,
-    EdgeStolen,
     EventBus,
     RunFinished,
     RunStarted,
     SpanFinished,
 )
 from .report import EdgeRecord, RunReport
-from .schedule import (
-    PRIORITY,
-    CostModel,
-    InversionMeter,
-    StealRegistry,
-    rung_ladder,
-)
+from .schedule import PRIORITY, CostModel, InversionMeter, rung_ladder
 
 _CACHE_HITS = metrics.counter("driver.cache_hits")
 _JOBS_DONE = metrics.counter("driver.jobs_completed")
@@ -77,6 +83,63 @@ PROCESS = "process"
 #: A fact-refutation request: (label, bindings, description) — the
 #: arguments of :meth:`Engine.refute_fact_at` plus a display name.
 FactJob = tuple  # (int, list[tuple[str, Optional[frozenset]]], str)
+
+
+@dataclass(frozen=True)
+class Job:
+    """One refutation job of either kind. ``key`` identifies the job
+    within its batch (the edge key, or the fact's request index);
+    ``target`` is the :class:`HeapEdge` or the fact's ``(label,
+    bindings)``. Module-level and plain so it pickles to process
+    workers."""
+
+    kind: str  # "edge" | "fact"
+    key: object
+    description: str
+    target: object
+
+    @classmethod
+    def edge(cls, edge: HeapEdge) -> "Job":
+        return cls("edge", edge_key(edge), str(edge), edge)
+
+    def run(
+        self,
+        engine: Engine,
+        budget: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> EdgeResult:
+        if self.kind == "edge":
+            return engine.refute_edge(
+                self.target, budget=budget, deadline=deadline
+            )
+        label, bindings = self.target
+        return engine.refute_fact_at(
+            label,
+            bindings,
+            budget=budget,
+            description=self.description,
+            deadline=deadline,
+        )
+
+    def cost(self, model: CostModel) -> int:
+        if self.kind == "edge":
+            return model.edge_cost(self.target)
+        return model.fact_cost(*self.target)
+
+
+def _execute(
+    engine: Engine,
+    job: Job,
+    budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> EdgeResult:
+    """Run one job on ``engine`` under its root span (``driver.job``; the
+    engine's ``executor.search`` span nests directly under it)."""
+    with trace.span("driver.job", kind=job.kind, description=job.description):
+        result = job.run(engine, budget, deadline)
+    _JOBS_DONE.inc()
+    _JOB_SECONDS.observe(result.seconds)
+    return result
 
 
 class RefutationDriver:
@@ -166,20 +229,11 @@ class RefutationDriver:
         #: flows into RunReport.phase_seconds and SpanFinished bus events.
         self._phase_seconds: dict[str, float] = {}
         #: Scheduling state (repro.engine.schedule): the lazily-built cost
-        #: model for priority ordering, per-rung portfolio stats, the
-        #: priority-inversion count, and — thread backend with
-        #: ``config.work_stealing`` — the steal registry idle workers use
-        #: to assist in-flight searches.
+        #: model for priority ordering, per-rung portfolio stats, and the
+        #: priority-inversion count.
         self._cost: Optional[CostModel] = None
         self._rungs: dict[int, dict] = {}
         self._inversions = 0
-        self._steal_registry: Optional[StealRegistry] = (
-            StealRegistry()
-            if config.work_stealing and jobs > 1 and self.backend == THREAD
-            else None
-        )
-        if self._steal_registry is not None:
-            self._steal_registry.on_steal = self._on_steal
         self._tracer = trace.get_tracer()
         if self._tracer is not None:
             self._tracer.add_sink(self._on_span)
@@ -273,8 +327,8 @@ class RefutationDriver:
     def _on_span(self, record) -> None:
         """Tracer sink: fold every finished span into the per-phase rollup
         and forward it onto the event bus (progress printer, collectors).
-        Instant records (rung escalations, steals) are point events, not
-        phases — they already reach the bus as typed lifecycle events."""
+        Instant records (rung escalations) are point events, not phases —
+        they already reach the bus as typed lifecycle events."""
         if getattr(record, "kind", "span") == "instant":
             return
         with self._lock:
@@ -290,49 +344,30 @@ class RefutationDriver:
             )
         )
 
-    def _on_steal(self, shard) -> None:
-        """Steal observer (thread backend, ``config.work_stealing``): one
-        call per stolen subtree, from the stealing thread, outside the
-        worklist's lock. Emits the lifecycle event and drops an instant
-        into the stealing worker's trace lane."""
-        thread = threading.current_thread().name
-        trace.instant(
-            "driver.steal", description=shard.description, thread=thread
-        )
-        self.events.emit(
-            EdgeStolen(
-                description=shard.description,
-                thread=thread,
-                queued=shard.queued(),
-            )
-        )
-
-    def _flight(
-        self,
-        kind: str,
-        description: str,
-        result: EdgeResult,
-        worker: str,
-        estimate: Optional[int] = None,
-        replay: Optional[Callable[[], object]] = None,
-    ) -> None:
+    def _flight(self, job: Job, result: EdgeResult, worker: str) -> None:
         """Feed one finally-recorded search into the always-on flight
         recorder, capturing its journal when it crossed the slow-query
         threshold (``config.slow_query_ms``)."""
         summary = telemetry.search_summary(
-            kind, description, result, worker=worker, estimate=estimate
+            job.kind,
+            job.description,
+            result,
+            worker=worker,
+            estimate=job.cost(self._cost) if self._cost is not None else None,
         )
         telemetry.RECORDER.record(summary)
         threshold = self.config.slow_query_ms
         if threshold is not None and result.seconds * 1000.0 >= threshold:
-            telemetry.RECORDER.capture(description, summary, replay=replay)
+            telemetry.RECORDER.capture(
+                job.description,
+                summary,
+                replay=lambda: job.run(Engine(self.pta, self.config)),
+            )
 
     @contextmanager
-    def _timed_batch(self, total: int, jobs: int, backend: str, kind: str):
+    def _timed_batch(self, total: int, kind: str):
         """One batch of refutation jobs: RunStarted/RunFinished bracketing,
-        wall-clock accounting, and the batch's root span — the single
-        replacement for what used to be four copy-pasted
-        ``perf_counter`` start/elapsed blocks.
+        wall-clock accounting, and the batch's root span.
 
         Yields the list the caller must append each job's
         :class:`EdgeResult` to; RunFinished aggregates are computed from
@@ -341,14 +376,16 @@ class RefutationDriver:
         self.events.emit(
             RunStarted(
                 total_jobs=total,
-                jobs=jobs,
-                backend=backend,
+                jobs=self.jobs,
+                backend=self.backend,
                 deadline=self.config.deadline_seconds,
             )
         )
         outcomes: list[EdgeResult] = []
         start = time.perf_counter()
-        with trace.span("driver.batch", kind=kind, total=total, backend=backend):
+        with trace.span(
+            "driver.batch", kind=kind, total=total, backend=self.backend
+        ):
             yield outcomes
         elapsed = time.perf_counter() - start
         with self._lock:
@@ -363,12 +400,6 @@ class RefutationDriver:
             )
         )
 
-    @staticmethod
-    def _job_span(kind: str, description: str):
-        """The root span of one refutation job (``driver.job``); the
-        engine's ``executor.search`` span nests directly under it."""
-        return trace.span("driver.job", kind=kind, description=description)
-
     def _worker_engine(self) -> tuple[Engine, str]:
         """The calling thread's private engine (threads only)."""
         engine = getattr(self._tls, "engine", None)
@@ -379,8 +410,6 @@ class RefutationDriver:
             engine = Engine(
                 self.pta, self.config, refuted_cache=self.refuted_states
             )
-            if self._steal_registry is not None:
-                engine.steal_registry = self._steal_registry
             self._tls.engine = engine
             self._tls.name = f"thread-{worker_id}"
         return engine, self._tls.name
@@ -394,23 +423,14 @@ class RefutationDriver:
             self._cost = CostModel(self.pta)
         return self._cost
 
-    def _priority_order_edges(self, todo: list) -> list:
+    def _prioritized(self, batch: list[Job]) -> list[Job]:
         """Cheapest-first dispatch order under ``schedule == "priority"``
-        (stable, with the edge token as tiebreak); input order otherwise."""
-        if self.config.schedule != PRIORITY or len(todo) < 2:
-            return todo
+        (stable, with the description as tiebreak); input order otherwise."""
+        if self.config.schedule != PRIORITY or len(batch) < 2:
+            return batch
         model = self._cost_model()
         return sorted(
-            todo, key=lambda kv: (model.edge_cost(kv[1]), str(kv[1]))
-        )
-
-    def _edge_meter(self, todo: list) -> Optional[InversionMeter]:
-        """Inversion accounting for one parallel batch (priority only)."""
-        if self.config.schedule != PRIORITY or len(todo) < 2:
-            return None
-        model = self._cost_model()
-        return InversionMeter(
-            {key: model.edge_cost(edge) for key, edge in todo}
+            batch, key=lambda job: (job.cost(model), job.description)
         )
 
     def _rung_entry(self, rung_index: int, budget, deadline) -> dict:
@@ -435,72 +455,6 @@ class RefutationDriver:
                 self._rungs[rung_index] = entry
             return entry
 
-    def _rung_scheduled(self, stats: dict) -> None:
-        """One job entered a rung. Mirrored into the metrics registry
-        (``driver.rung.scheduled.<rung>``) so rung occupancy is visible to
-        scrapes and merges across process-pool workers."""
-        stats["scheduled"] += 1
-        metrics.counter(f"driver.rung.scheduled.{stats['rung']}").inc()
-
-    def _rung_carryover(
-        self, stats: dict, description: str, ladder: list, rung_index: int
-    ) -> None:
-        """One job timed out at a non-final rung and escalates: count it,
-        emit the lifecycle event, and drop a trace instant."""
-        stats["carryover"] += 1
-        metrics.counter(f"driver.rung.carryover.{stats['rung']}").inc()
-        next_budget, next_deadline = ladder[rung_index + 1]
-        trace.instant(
-            "driver.rung_escalated", description=description, rung=rung_index
-        )
-        self.events.emit(
-            EdgeEscalated(
-                description=description,
-                rung=rung_index,
-                next_budget=next_budget,
-                next_deadline=next_deadline,
-            )
-        )
-
-    def _rung_resolved(
-        self, stats: dict, result: EdgeResult, rung_index: int
-    ) -> None:
-        """One job got its final verdict at this rung."""
-        result.rung = rung_index
-        stats["resolved"] += 1
-        stats[result.status] = stats.get(result.status, 0) + 1
-        metrics.counter(f"driver.rung.resolved.{stats['rung']}").inc()
-
-    def _submit_helpers(self) -> list:
-        """Queue one steal-helper loop per pool slot *behind* the batch's
-        edge jobs: a worker only picks a helper up once no queued job
-        remains, i.e. exactly when it would otherwise idle through the
-        batch's tail. No-op unless work stealing is active."""
-        if self._steal_registry is None:
-            return []
-        self._steal_registry.reopen()
-        pool = self._get_pool()
-        return [pool.submit(self._steal_helper) for _ in range(self.jobs)]
-
-    def _drain_helpers(self, helpers: list) -> None:
-        if not helpers:
-            return
-        self._steal_registry.close()
-        for fut in helpers:
-            fut.result()
-
-    def _steal_helper(self) -> None:
-        """The idle-worker loop: assist the heaviest in-flight search
-        (stealing unexplored path-state subtrees from its shared
-        worklist) until the batch ends."""
-        engine, _worker = self._worker_engine()
-        registry = self._steal_registry
-        while True:
-            shard = registry.pick()
-            if shard is None:
-                return
-            engine.assist(shard)
-
     def _schedule_section(self) -> dict:
         """The run report's ``schedule`` section (see RunReport)."""
         with self._lock:
@@ -509,69 +463,154 @@ class RefutationDriver:
         return {
             "policy": self.config.schedule,
             "portfolio": self.config.portfolio,
-            "work_stealing": self.config.work_stealing,
             "rungs": rungs,
             "resolved_at_rung": {
                 str(r["rung"]): r["resolved"] for r in rungs
             },
-            "steals": (
-                self._steal_registry.steals
-                if self._steal_registry is not None
-                else 0
-            ),
             "priority_inversions": inversions,
         }
 
     # ------------------------------------------------------------------
-    # Edge refutation
+    # The job path: one rung-ladder loop over one dispatch
+    # ------------------------------------------------------------------
+
+    def _run_jobs(
+        self,
+        batch: list[Job],
+        total: int,
+        results: dict,
+        done: int = 0,
+        until_refuted: bool = False,
+    ) -> dict:
+        """Run ``batch`` up the rung ladder, filling ``results`` (job key
+        -> final result) and recording and announcing each final verdict.
+
+        Under ``config.portfolio`` every job runs at the first (small)
+        budget/deadline rung and only the TIMEOUT survivors re-run at each
+        escalating rung. Re-runs are warm — the refuted-state cache and
+        solver memos persist across rungs. The final rung is the full
+        configured budget/deadline, so every job ends with exactly the
+        verdict the fixed schedule would produce; only the final verdict
+        is recorded (with the rung that resolved it), never a provisional
+        carryover timeout. Without the portfolio the ladder is that one
+        full rung and no rung stats are kept.
+
+        ``until_refuted`` stops the climb before the next rung once any
+        result (cached ones included) is refuted — the path-level rule.
+        Returns the provisional TIMEOUTs of the jobs that stop left
+        unresolved, keyed like ``results``.
+        """
+        portfolio = self.config.portfolio
+        ladder = rung_ladder(self.config) if portfolio else [(None, None)]
+        provisional: dict = {}
+        for rung, (budget, deadline) in enumerate(ladder):
+            if not batch or (
+                until_refuted and any(r.refuted for r in results.values())
+            ):
+                break
+            final = rung == len(ladder) - 1
+            stats = (
+                self._rung_entry(rung, budget, deadline) if portfolio else None
+            )
+            for job, result, worker in self._dispatch(
+                batch, total, budget, deadline
+            ):
+                if stats is not None:
+                    # Rung occupancy is mirrored into the metrics registry
+                    # so scrapes see it and process-pool workers merge.
+                    stats["scheduled"] += 1
+                    metrics.counter(f"driver.rung.scheduled.{rung}").inc()
+                    if result.timed_out and not final:
+                        stats["carryover"] += 1
+                        metrics.counter(f"driver.rung.carryover.{rung}").inc()
+                        next_budget, next_deadline = ladder[rung + 1]
+                        trace.instant(
+                            "driver.rung_escalated",
+                            description=job.description,
+                            rung=rung,
+                        )
+                        self.events.emit(
+                            EdgeEscalated(
+                                description=job.description,
+                                rung=rung,
+                                next_budget=next_budget,
+                                next_deadline=next_deadline,
+                            )
+                        )
+                        provisional[job.key] = result
+                        continue
+                    result.rung = rung
+                    stats["resolved"] += 1
+                    stats[result.status] = stats.get(result.status, 0) + 1
+                    metrics.counter(f"driver.rung.resolved.{rung}").inc()
+                provisional.pop(job.key, None)
+                results[job.key] = result
+                self._record(job, result, worker)
+                self._emit_finished(
+                    job.description, result, worker, done, total
+                )
+                done += 1
+            batch = [job for job in batch if job.key in provisional]
+        return provisional
+
+    def _dispatch(
+        self,
+        batch: list[Job],
+        total: int,
+        budget: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> Iterator[tuple[Job, EdgeResult, str]]:
+        """Run one rung of ``batch`` and yield ``(job, result, worker)``
+        per job: inline on the serial engine, in job order, when
+        ``jobs == 1`` or the batch is a lone job; otherwise on the pool,
+        in completion order, with priority inversions counted."""
+        if self.jobs == 1 or len(batch) <= 1:
+            for job in batch:
+                yield job, _execute(self.engine, job, budget, deadline), SERIAL
+            return
+        pool = self._get_pool()
+        meter = None
+        if self.config.schedule == PRIORITY:
+            model = self._cost_model()
+            meter = InversionMeter({job.key: job.cost(model) for job in batch})
+        futures = {}
+        for index, job in enumerate(batch):
+            self.events.emit(
+                EdgeScheduled(
+                    description=job.description, index=index, total=total
+                )
+            )
+            if self.backend == PROCESS:
+                fut = pool.submit(_process_run, job, budget, deadline)
+            else:
+                fut = pool.submit(self._thread_run, job, budget, deadline)
+            futures[fut] = job
+        for fut in as_completed(futures):
+            job = futures[fut]
+            result, worker = self._unpack(fut.result())
+            if meter is not None:
+                meter.complete(job.key)
+            yield job, result, worker
+        if meter is not None:
+            with self._lock:
+                self._inversions += meter.inversions
+
+    def _thread_run(
+        self, job: Job, budget: Optional[int], deadline: Optional[float]
+    ) -> tuple[EdgeResult, str]:
+        engine, worker = self._worker_engine()
+        return _execute(engine, job, budget, deadline), worker
+
+    # ------------------------------------------------------------------
+    # Public entry points
     # ------------------------------------------------------------------
 
     def refute_edge(self, edge: HeapEdge) -> EdgeResult:
-        """Refute one edge inline (always serial; cache-aware).
-
-        Under ``config.portfolio`` the inline job climbs the same
-        cheap-first rung ladder as a batch, so serial path walks (the
-        Section 2 loop) stage their budgets too; the final rung is the
-        full configured budget, so the verdict is unchanged.
-        """
-        key = edge_key(edge)
-        cached = self._cached(key)
-        if cached is not None:
-            _CACHE_HITS.inc()
-            with self._lock:
-                self.cache_hits += 1
-            return cached
-        if self.config.portfolio:
-            result = self._refute_edge_ladder(edge)
-        else:
-            with self._job_span("edge", str(edge)):
-                result = self.engine.refute_edge(edge)
-            _JOBS_DONE.inc()
-            _JOB_SECONDS.observe(result.seconds)
-        self._store(key, edge, result, SERIAL)
-        return result
-
-    def _refute_edge_ladder(self, edge: HeapEdge) -> EdgeResult:
-        """One inline edge through the portfolio rungs (see
-        :meth:`_run_portfolio_edges` for the batch variant)."""
-        ladder = rung_ladder(self.config)
-        result = None
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            stats = self._rung_entry(rung_index, budget, deadline)
-            self._rung_scheduled(stats)
-            with self._job_span("edge", str(edge)):
-                result = self.engine.refute_edge(
-                    edge, budget=budget, deadline=deadline
-                )
-            _JOBS_DONE.inc()
-            _JOB_SECONDS.observe(result.seconds)
-            if result.timed_out and not final_rung:
-                self._rung_carryover(stats, str(edge), ladder, rung_index)
-                continue
-            self._rung_resolved(stats, result, rung_index)
-            break
-        return result
+        """Refute one edge inline (cache-aware). Under
+        ``config.portfolio`` it climbs the same cheap-first rung ladder
+        as a batch; the final rung is the full configured budget, so the
+        verdict is unchanged."""
+        return self.refute_edges([edge])[edge_key(edge)]
 
     def refute_edges(
         self, edges: Sequence[HeapEdge]
@@ -582,191 +621,44 @@ class RefutationDriver:
         cache; the rest run on the pool (or inline when ``jobs == 1``).
         Returns every requested edge's result keyed by its edge key.
         """
-        ordered: list[tuple[EdgeKey, HeapEdge]] = []
-        seen: set[EdgeKey] = set()
-        for edge in edges:
-            key = edge_key(edge)
-            if key not in seen:
-                seen.add(key)
-                ordered.append((key, edge))
-        results: dict[EdgeKey, EdgeResult] = {}
-        todo: list[tuple[EdgeKey, HeapEdge]] = []
-        for key, edge in ordered:
-            cached = self._cached(key)
-            if cached is not None:
-                _CACHE_HITS.inc()
-                with self._lock:
-                    self.cache_hits += 1
-                results[key] = cached
-            else:
-                todo.append((key, edge))
-        todo = self._priority_order_edges(todo)
-        total = len(ordered)
-        with self._timed_batch(total, self.jobs, self.backend, "edges") as outcomes:
-            done = 0
-            for index, (key, edge) in enumerate(ordered):
-                if key in results:
-                    self._emit_finished(
-                        str(edge), results[key], SERIAL, done, total, cached=True
-                    )
-                    done += 1
-            if self.config.portfolio and todo:
-                done = self._run_portfolio_edges(todo, results, done, total)
-            elif self.jobs == 1 or len(todo) <= 1:
-                for key, edge in todo:
-                    with self._job_span("edge", str(edge)):
-                        result = self.engine.refute_edge(edge)
-                    _JOBS_DONE.inc()
-                    _JOB_SECONDS.observe(result.seconds)
-                    self._store(key, edge, result, SERIAL)
-                    results[key] = result
-                    self._emit_finished(str(edge), result, SERIAL, done, total)
-                    done += 1
-            else:
-                done = self._run_parallel_edges(todo, results, done, total)
-            outcomes.extend(results.values())
+        _, results, _ = self._edge_batch(edges, "edges")
         return results
 
-    def _run_parallel_edges(
-        self,
-        todo: list[tuple[EdgeKey, HeapEdge]],
-        results: dict[EdgeKey, EdgeResult],
-        done: int,
-        total: int,
-    ) -> int:
-        from concurrent.futures import as_completed
-
-        pool = self._get_pool()
-        meter = self._edge_meter(todo)
-        futures = {}
-        for index, (key, edge) in enumerate(todo):
-            self.events.emit(
-                EdgeScheduled(description=str(edge), index=index, total=total)
-            )
-            if self.backend == PROCESS:
-                fut = pool.submit(_process_refute_edge, edge)
+    def _edge_batch(
+        self, edges: Sequence[HeapEdge], kind: str, until_refuted: bool = False
+    ) -> tuple[list[Job], dict, dict]:
+        """Deduplicate ``edges``, answer what the shared cache holds, and
+        run the rest; returns the distinct jobs in input order, the final
+        results and the provisional ones (see :meth:`_run_jobs`)."""
+        ordered: list[Job] = []
+        seen: set = set()
+        for edge in edges:
+            job = Job.edge(edge)
+            if job.key not in seen:
+                seen.add(job.key)
+                ordered.append(job)
+        results: dict = {}
+        todo: list[Job] = []
+        for job in ordered:
+            cached = self._hit(job.key)
+            if cached is None:
+                todo.append(job)
             else:
-                fut = pool.submit(self._thread_refute_edge, edge)
-            futures[fut] = (key, edge)
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                key, edge = futures[fut]
-                result, worker = self._unpack(fut.result())
-                if meter is not None:
-                    meter.complete(key)
-                self._store(key, edge, result, worker)
-                results[key] = result
-                self._emit_finished(str(edge), result, worker, done, total)
-                done += 1
-        finally:
-            self._drain_helpers(helpers)
-        if meter is not None:
-            with self._lock:
-                self._inversions += meter.inversions
-        return done
-
-    def _run_portfolio_edges(
-        self,
-        todo: list[tuple[EdgeKey, HeapEdge]],
-        results: dict[EdgeKey, EdgeResult],
-        done: int,
-        total: int,
-    ) -> int:
-        """Cheap-first portfolio dispatch: run the batch at the first
-        (small) budget/deadline rung, then re-run only the TIMEOUT
-        survivors at each escalating rung. Re-runs are warm — the
-        refuted-state cache and solver memos persist across rungs. The
-        final rung is the full configured budget/deadline, so every edge
-        ends with exactly the verdict the fixed schedule would produce;
-        only the final verdict is recorded (with the rung that resolved
-        it), never the provisional carryover timeouts."""
-        ladder = rung_ladder(self.config)
-        pending = list(todo)
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            attempts = self._run_rung_edges(
-                pending, budget, deadline, total
-            )
-            stats = self._rung_entry(rung_index, budget, deadline)
-            survivors: list[tuple[EdgeKey, HeapEdge]] = []
-            for (key, edge), (result, worker) in zip(pending, attempts):
-                self._rung_scheduled(stats)
-                if result.timed_out and not final_rung:
-                    self._rung_carryover(stats, str(edge), ladder, rung_index)
-                    survivors.append((key, edge))
-                    continue
-                self._rung_resolved(stats, result, rung_index)
-                self._store(key, edge, result, worker)
-                results[key] = result
-                self._emit_finished(str(edge), result, worker, done, total)
-                done += 1
-            pending = survivors
-            if not pending:
-                break
-        return done
-
-    def _run_rung_edges(
-        self,
-        pending: list[tuple[EdgeKey, HeapEdge]],
-        budget: Optional[int],
-        deadline: Optional[float],
-        total: int,
-    ) -> list[tuple[EdgeResult, str]]:
-        """One portfolio rung over ``pending``; results aligned with it."""
-        out: list = [None] * len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
-            for slot, (key, edge) in enumerate(pending):
-                with self._job_span("edge", str(edge)):
-                    result = self.engine.refute_edge(
-                        edge, budget=budget, deadline=deadline
-                    )
-                _JOBS_DONE.inc()
-                _JOB_SECONDS.observe(result.seconds)
-                out[slot] = (result, SERIAL)
-            return out
-        from concurrent.futures import as_completed
-
-        pool = self._get_pool()
-        meter = self._edge_meter(pending)
-        futures = {}
-        for slot, (key, edge) in enumerate(pending):
-            self.events.emit(
-                EdgeScheduled(description=str(edge), index=slot, total=total)
-            )
-            if self.backend == PROCESS:
-                fut = pool.submit(_process_refute_edge, edge, budget, deadline)
-            else:
-                fut = pool.submit(
-                    self._thread_refute_edge, edge, budget, deadline
+                results[job.key] = cached
+        total = len(ordered)
+        with self._timed_batch(total, kind) as outcomes:
+            for done, job in enumerate(j for j in ordered if j.key in results):
+                self._emit_finished(
+                    job.description, results[job.key], SERIAL, done, total,
+                    cached=True,
                 )
-            futures[fut] = slot
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                slot = futures[fut]
-                out[slot] = self._unpack(fut.result())
-                if meter is not None:
-                    meter.complete(pending[slot][0])
-        finally:
-            self._drain_helpers(helpers)
-        if meter is not None:
-            with self._lock:
-                self._inversions += meter.inversions
-        return out
-
-    def _thread_refute_edge(
-        self,
-        edge: HeapEdge,
-        budget: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> tuple[EdgeResult, str]:
-        engine, worker = self._worker_engine()
-        with self._job_span("edge", str(edge)):
-            result = engine.refute_edge(edge, budget=budget, deadline=deadline)
-        _JOBS_DONE.inc()
-        _JOB_SECONDS.observe(result.seconds)
-        return result, worker
+            provisional = self._run_jobs(
+                self._prioritized(todo), total, results, len(results),
+                until_refuted,
+            )
+            outcomes.extend(results.values())
+            outcomes.extend(provisional.values())
+        return ordered, results, provisional
 
     def refute_path(
         self, path: Sequence[HeapEdge]
@@ -791,93 +683,37 @@ class RefutationDriver:
         cached nor recorded (a later path can still resolve them).
         """
         if self.config.portfolio:
-            return self._refute_path_portfolio(path)
-        if self.jobs == 1:
-            total = len(path)
-            out = []
-            with self._timed_batch(total, 1, SERIAL, "path") as outcomes:
-                for index, edge in enumerate(path):
-                    cached = self._cached(edge_key(edge)) is not None
-                    result = self.refute_edge(edge)
-                    out.append((edge, result))
+            ordered, results, provisional = self._edge_batch(
+                path, "path", until_refuted=True
+            )
+            return [
+                (job.target, results.get(job.key) or provisional[job.key])
+                for job in ordered
+                if job.key in results or job.key in provisional
+            ]
+        if self.jobs > 1:
+            results = self.refute_edges(path)
+            return [(edge, results[edge_key(edge)]) for edge in path]
+        total = len(path)
+        out = []
+        with self._timed_batch(total, "path") as outcomes:
+            for index, edge in enumerate(path):
+                job = Job.edge(edge)
+                results = {}
+                cached = self._hit(job.key)
+                if cached is not None:
+                    results[job.key] = cached
                     self._emit_finished(
-                        str(edge), result, SERIAL, index, total, cached=cached
+                        job.description, cached, SERIAL, index, total,
+                        cached=True,
                     )
-                    if result.refuted:
-                        break
-                outcomes.extend(r for _, r in out)
-            return out
-        results = self.refute_edges(path)
-        return [(edge, results[edge_key(edge)]) for edge in path]
-
-    def _refute_path_portfolio(
-        self, path: Sequence[HeapEdge]
-    ) -> list[tuple[HeapEdge, EdgeResult]]:
-        """The cheap-first rung ladder across one path's edges (see
-        :meth:`refute_path`); works at any worker count — each rung's
-        batch fans out over the pool when ``jobs > 1``."""
-        ordered: list[tuple[EdgeKey, HeapEdge]] = []
-        seen: set[EdgeKey] = set()
-        for edge in path:
-            key = edge_key(edge)
-            if key not in seen:
-                seen.add(key)
-                ordered.append((key, edge))
-        results: dict[EdgeKey, EdgeResult] = {}
-        pending: list[tuple[EdgeKey, HeapEdge]] = []
-        for key, edge in ordered:
-            cached = self._cached(key)
-            if cached is not None:
-                _CACHE_HITS.inc()
-                with self._lock:
-                    self.cache_hits += 1
-                results[key] = cached
-            else:
-                pending.append((key, edge))
-        if self.config.schedule == PRIORITY:
-            pending = self._priority_order_edges(pending)
-        total = len(ordered)
-        ladder = rung_ladder(self.config)
-        provisional: dict[EdgeKey, EdgeResult] = {}
-        with self._timed_batch(total, self.jobs, self.backend, "path") as outcomes:
-            done = 0
-            broken = any(r.refuted for r in results.values())
-            for rung_index, (budget, deadline) in enumerate(ladder):
-                if broken or not pending:
+                else:
+                    self._run_jobs([job], total, results, index)
+                out.append((edge, results[job.key]))
+                if results[job.key].refuted:
                     break
-                final_rung = rung_index == len(ladder) - 1
-                attempts = self._run_rung_edges(pending, budget, deadline, total)
-                stats = self._rung_entry(rung_index, budget, deadline)
-                survivors: list[tuple[EdgeKey, HeapEdge]] = []
-                for (key, edge), (result, worker) in zip(pending, attempts):
-                    self._rung_scheduled(stats)
-                    if result.timed_out and not final_rung:
-                        self._rung_carryover(
-                            stats, str(edge), ladder, rung_index
-                        )
-                        provisional[key] = result
-                        survivors.append((key, edge))
-                        continue
-                    self._rung_resolved(stats, result, rung_index)
-                    self._store(key, edge, result, worker)
-                    results[key] = result
-                    provisional.pop(key, None)
-                    self._emit_finished(str(edge), result, worker, done, total)
-                    done += 1
-                    if result.refuted:
-                        broken = True
-                pending = survivors
-            out = []
-            for key, edge in ordered:
-                result = results.get(key) or provisional.get(key)
-                if result is not None:
-                    out.append((edge, result))
             outcomes.extend(r for _, r in out)
         return out
-
-    # ------------------------------------------------------------------
-    # Fact refutation (the casts / immutability clients)
-    # ------------------------------------------------------------------
 
     def refute_facts(self, requests: Sequence[FactJob]) -> list[EdgeResult]:
         """Run a batch of :meth:`Engine.refute_fact_at` queries.
@@ -887,191 +723,16 @@ class RefutationDriver:
         dispatch order (priority scheduling) or completion order on the
         pool.
         """
-        total = len(requests)
-        order = list(range(total))
-        if self.config.schedule == PRIORITY and total > 1:
-            model = self._cost_model()
-            costs = {
-                i: model.fact_cost(requests[i][0], requests[i][1])
-                for i in order
-            }
-            order.sort(key=lambda i: (costs[i], requests[i][2]))
-        results: list[Optional[EdgeResult]] = [None] * total
-        with self._timed_batch(total, self.jobs, self.backend, "facts") as outcomes:
-            if self.config.portfolio and requests:
-                self._run_portfolio_facts(requests, order, results, total)
-            elif self.jobs == 1 or total <= 1:
-                done = 0
-                for i in order:
-                    label, bindings, description = requests[i]
-                    with self._job_span("fact", description):
-                        result = self.engine.refute_fact_at(
-                            label, bindings, description=description
-                        )
-                    _JOBS_DONE.inc()
-                    _JOB_SECONDS.observe(result.seconds)
-                    results[i] = result
-                    self._record_fact(
-                        description, result, SERIAL, job=requests[i]
-                    )
-                    self._emit_finished(description, result, SERIAL, done, total)
-                    done += 1
-            else:
-                from concurrent.futures import as_completed
-
-                pool = self._get_pool()
-                futures = {}
-                for i in order:
-                    label, bindings, description = requests[i]
-                    self.events.emit(
-                        EdgeScheduled(description=description, index=i, total=total)
-                    )
-                    if self.backend == PROCESS:
-                        fut = pool.submit(
-                            _process_refute_fact, label, bindings, description
-                        )
-                    else:
-                        fut = pool.submit(
-                            self._thread_refute_fact, label, bindings, description
-                        )
-                    futures[fut] = i
-                helpers = self._submit_helpers()
-                done = 0
-                try:
-                    for fut in as_completed(futures):
-                        i = futures[fut]
-                        result, worker = self._unpack(fut.result())
-                        results[i] = result
-                        description = requests[i][2]
-                        self._record_fact(
-                            description, result, worker, job=requests[i]
-                        )
-                        self._emit_finished(description, result, worker, done, total)
-                        done += 1
-                finally:
-                    self._drain_helpers(helpers)
-            final = [r for r in results if r is not None]
+        batch = [
+            Job("fact", i, description, (label, bindings))
+            for i, (label, bindings, description) in enumerate(requests)
+        ]
+        results: dict = {}
+        with self._timed_batch(len(batch), "facts") as outcomes:
+            self._run_jobs(self._prioritized(batch), len(batch), results)
+            final = [results[job.key] for job in batch]
             outcomes.extend(final)
         return final
-
-    def _run_portfolio_facts(
-        self,
-        requests: Sequence[FactJob],
-        order: list[int],
-        results: list[Optional[EdgeResult]],
-        total: int,
-    ) -> None:
-        """Portfolio rung loop over fact jobs (see
-        :meth:`_run_portfolio_edges`); fills ``results`` in place."""
-        ladder = rung_ladder(self.config)
-        pending = list(order)
-        done = 0
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            attempts = self._run_rung_facts(
-                requests, pending, budget, deadline, total
-            )
-            stats = self._rung_entry(rung_index, budget, deadline)
-            survivors: list[int] = []
-            for i, (result, worker) in zip(pending, attempts):
-                self._rung_scheduled(stats)
-                if result.timed_out and not final_rung:
-                    self._rung_carryover(
-                        stats, requests[i][2], ladder, rung_index
-                    )
-                    survivors.append(i)
-                    continue
-                self._rung_resolved(stats, result, rung_index)
-                results[i] = result
-                description = requests[i][2]
-                self._record_fact(description, result, worker, job=requests[i])
-                self._emit_finished(description, result, worker, done, total)
-                done += 1
-            pending = survivors
-            if not pending:
-                break
-
-    def _run_rung_facts(
-        self,
-        requests: Sequence[FactJob],
-        pending: list[int],
-        budget: Optional[int],
-        deadline: Optional[float],
-        total: int,
-    ) -> list[tuple[EdgeResult, str]]:
-        out: list = [None] * len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
-            for slot, i in enumerate(pending):
-                label, bindings, description = requests[i]
-                with self._job_span("fact", description):
-                    result = self.engine.refute_fact_at(
-                        label,
-                        bindings,
-                        budget=budget,
-                        description=description,
-                        deadline=deadline,
-                    )
-                _JOBS_DONE.inc()
-                _JOB_SECONDS.observe(result.seconds)
-                out[slot] = (result, SERIAL)
-            return out
-        from concurrent.futures import as_completed
-
-        pool = self._get_pool()
-        futures = {}
-        for slot, i in enumerate(pending):
-            label, bindings, description = requests[i]
-            self.events.emit(
-                EdgeScheduled(description=description, index=slot, total=total)
-            )
-            if self.backend == PROCESS:
-                fut = pool.submit(
-                    _process_refute_fact,
-                    label,
-                    bindings,
-                    description,
-                    budget,
-                    deadline,
-                )
-            else:
-                fut = pool.submit(
-                    self._thread_refute_fact,
-                    label,
-                    bindings,
-                    description,
-                    budget,
-                    deadline,
-                )
-            futures[fut] = slot
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                slot = futures[fut]
-                out[slot] = self._unpack(fut.result())
-        finally:
-            self._drain_helpers(helpers)
-        return out
-
-    def _thread_refute_fact(
-        self,
-        label,
-        bindings,
-        description: str = "<fact>",
-        budget: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> tuple[EdgeResult, str]:
-        engine, worker = self._worker_engine()
-        with self._job_span("fact", description):
-            result = engine.refute_fact_at(
-                label,
-                bindings,
-                budget=budget,
-                description=description,
-                deadline=deadline,
-            )
-        _JOBS_DONE.inc()
-        _JOB_SECONDS.observe(result.seconds)
-        return result, worker
 
     # ------------------------------------------------------------------
     # Results, records, reports
@@ -1110,64 +771,40 @@ class RefutationDriver:
         with self._lock:
             return self.engine._edge_cache.get(key)
 
-    def _store(
-        self, key: EdgeKey, edge: HeapEdge, result: EdgeResult, worker: str
-    ) -> None:
+    def _hit(self, key: EdgeKey) -> Optional[EdgeResult]:
+        """:meth:`_cached`, counting a found result as a cache hit."""
+        cached = self._cached(key)
+        if cached is not None:
+            _CACHE_HITS.inc()
+            with self._lock:
+                self.cache_hits += 1
+        return cached
+
+    def _record(self, job: Job, result: EdgeResult, worker: str) -> None:
+        """Record one final verdict. An edge is merged into the serial
+        engine's cache — so every consumer, including direct Engine users
+        like witness rendering, sees one coherent result set — and
+        recorded once; every fact run gets its own record. ``worker ==
+        "cache"`` marks a reused verdict (the serve session's fact-table
+        hit): no search ran, so the flight recorder is skipped."""
         with self._lock:
-            # Merge into the serial engine's cache so every consumer —
-            # including direct Engine users like witness rendering — sees
-            # one coherent result set.
-            if key not in self.engine._edge_cache:
-                self.engine._edge_cache[key] = result
-            fresh = key not in self._records
+            if job.kind == "edge":
+                self.engine._edge_cache.setdefault(job.key, result)
+                key = job.key
+                fresh = key not in self._records
+            else:
+                key = ("fact", job.description, len(self._records))
+                fresh = True
             if fresh:
                 self._records[key] = EdgeRecord.from_result(
-                    result, worker=worker, description=str(edge), kind="edge"
+                    result,
+                    worker=worker,
+                    description=job.description,
+                    kind=job.kind,
                 )
-        if fresh:
+        if fresh and worker != "cache":
             # Outside the lock: a slow-query capture may replay the search.
-            self._flight(
-                "edge",
-                str(edge),
-                result,
-                worker,
-                estimate=(
-                    self._cost.edge_cost(edge)
-                    if self._cost is not None
-                    else None
-                ),
-                replay=lambda: Engine(self.pta, self.config).refute_edge(edge),
-            )
-
-    def _record_fact(
-        self,
-        description: str,
-        result: EdgeResult,
-        worker: str,
-        job: Optional[FactJob] = None,
-    ) -> None:
-        with self._lock:
-            key = ("fact", description, len(self._records))
-            self._records[key] = EdgeRecord.from_result(
-                result, worker=worker, description=description, kind="fact"
-            )
-        if worker == "cache":
-            # A reused verdict (serve session's fact-table hit): no search
-            # ran, so there is nothing for the flight recorder to time.
-            return
-        estimate = None
-        replay = None
-        if job is not None:
-            label, bindings = job[0], job[1]
-            if self._cost is not None:
-                estimate = self._cost.fact_cost(label, bindings)
-            replay = lambda: Engine(self.pta, self.config).refute_fact_at(
-                label, bindings, description=description
-            )
-        self._flight(
-            "fact", description, result, worker, estimate=estimate,
-            replay=replay,
-        )
+            self._flight(job, result, worker)
 
     def _emit_finished(
         self,
@@ -1322,27 +959,10 @@ def _worker_obs_payload() -> dict:
     return obs
 
 
-def _process_refute_edge(
-    edge: HeapEdge,
-    budget: Optional[int] = None,
-    deadline: Optional[float] = None,
+def _process_run(
+    job: Job, budget: Optional[int], deadline: Optional[float]
 ) -> tuple[EdgeResult, str, dict, dict]:
     assert _PROCESS_ENGINE is not None
-    result = _PROCESS_ENGINE.refute_edge(edge, budget=budget, deadline=deadline)
-    worker = f"process-{os.getpid()}"
-    return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()
-
-
-def _process_refute_fact(
-    label,
-    bindings,
-    description: str = "<fact>",
-    budget: Optional[int] = None,
-    deadline: Optional[float] = None,
-) -> tuple[EdgeResult, str, dict, dict]:
-    assert _PROCESS_ENGINE is not None
-    result = _PROCESS_ENGINE.refute_fact_at(
-        label, bindings, budget=budget, description=description, deadline=deadline
-    )
+    result = _execute(_PROCESS_ENGINE, job, budget, deadline)
     worker = f"process-{os.getpid()}"
     return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Optional
 from . import metrics, provenance, trace
 
 #: Bumped whenever the exposition's family names/labels change shape.
-EXPOSITION_VERSION = 2
+EXPOSITION_VERSION = 3
 
 #: The scrape Content-Type (the standard Prometheus text format).
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -69,7 +69,6 @@ _TIER_LABELS = {
 }
 
 _SCHED_LABELS = {
-    "driver.steals": "steal",
     "driver.priority_inversions": "priority_inversion",
 }
 
@@ -91,7 +90,7 @@ _FAMILY_HELP = {
     "repro_executor_kills_total": "Path states killed, by kill-taxonomy reason.",
     "repro_solver_answers_total": "Solver queries answered, by cache tier.",
     "repro_driver_sched_events_total":
-        "Scheduler events: work steals and priority inversions.",
+        "Scheduler events: priority inversions.",
     "repro_driver_rung_jobs_total":
         "Portfolio-ladder jobs, by lifecycle event and rung.",
     "repro_store_ops_total":
@@ -199,7 +198,6 @@ _LIFECYCLE = frozenset({
     "RunStarted",
     "EdgeScheduled",
     "EdgeEscalated",
-    "EdgeStolen",
     "EdgeFinished",
     "RunFinished",
 })
@@ -225,7 +223,6 @@ class TelemetryHub:
         self._totals = {
             "scheduled": 0,
             "escalated": 0,
-            "stolen": 0,
             "refuted": 0,
             "witnessed": 0,
             "timeout": 0,
@@ -265,20 +262,13 @@ class TelemetryHub:
         elif kind == "EdgeScheduled":
             self._totals["scheduled"] += 1
             self._in_flight.setdefault(
-                row["description"], {"since": now, "rung": 0, "steals": 0}
+                row["description"], {"since": now, "rung": 0}
             )
         elif kind == "EdgeEscalated":
             self._totals["escalated"] += 1
             entry = self._in_flight.get(row["description"])
             if entry is not None:
                 entry["rung"] = row.get("rung", 0) + 1
-        elif kind == "EdgeStolen":
-            self._totals["stolen"] += 1
-            entry = self._in_flight.get(row["description"])
-            if entry is not None:
-                entry["steals"] += 1
-            worker = row.get("thread", "")
-            self._workers[worker] = self._workers.get(worker, 0) + 1
         elif kind == "EdgeFinished":
             status = row.get("status", "")
             if row.get("cached"):

@@ -45,6 +45,7 @@ from ..api import (
     validate_selectors,
 )
 from ..engine import RefutationDriver
+from ..engine.driver import Job
 from ..ir import build_program
 from ..lang import frontend
 from .. import perf
@@ -129,7 +130,7 @@ class _SessionDriver(RefutationDriver):
                 results[i] = hit
                 with self._lock:
                     self.cache_hits += 1
-                self._record_fact(job[2], hit, "cache")
+                self._record(Job("fact", i, job[2], job[:2]), hit, "cache")
             else:
                 misses.append(job)
                 miss_indices.append(i)
@@ -471,7 +472,6 @@ class ProgramSession:
                         "serve.verdicts_reused",
                         "pointsto.incremental_solves",
                         "pointsto.incremental_new_points",
-                        "driver.steals",
                         "driver.priority_inversions",
                     )
                 )
@@ -488,7 +488,7 @@ class ProgramSession:
                     "journal": self._journal is not None,
                     "metrics": counters,
                     #: Scheduling efficacy without a full report: the
-                    #: per-rung table plus steal/inversion counts.
+                    #: per-rung table plus the inversion count.
                     "schedule": self._driver._schedule_section(),
                     "cache_tiers": cache.get("tiers", {}),
                     #: The persistent verdict store this session shares

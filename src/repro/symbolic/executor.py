@@ -152,16 +152,6 @@ class Engine:
         #: The active search journal (repro.obs.provenance), or None: every
         #: journaling hook below is a no-op when no journal is installed.
         self._sj: Optional["provenance.SearchJournal"] = None
-        #: Work-stealing hookup (thread backend): the driver sets a
-        #: :class:`repro.engine.schedule.StealRegistry` on worker engines
-        #: when ``config.work_stealing``; searches then run on a shared,
-        #: stealable worklist. ``_shard`` is the worklist this engine is
-        #: currently working (as owner or helper) — ``_spend`` charges it.
-        self.steal_registry = None
-        self._shard = None
-        #: The current search's display token (edge/fact description) —
-        #: carried onto shared worklists so steal telemetry can name it.
-        self._desc = ""
 
     # ------------------------------------------------------------------
     # Public API
@@ -198,7 +188,6 @@ class Engine:
             enabled=self.config.simplify_queries, shared=self._refuted_cache
         )
         book = provenance.get_journal()
-        self._desc = str(edge)
         self._sj = (
             book.open_search(str(edge), kind="edge") if book is not None else None
         )
@@ -290,7 +279,6 @@ class Engine:
             enabled=self.config.simplify_queries, shared=self._refuted_cache
         )
         book = provenance.get_journal()
-        self._desc = description or f"fact@L{label}"
         self._sj = (
             book.open_search(description or f"fact@L{label}", kind="fact")
             if book is not None
@@ -397,14 +385,6 @@ class Engine:
             raise SearchTimeout()
 
     def _spend(self, n: int = 1) -> None:
-        shard = self._shard
-        if shard is not None:
-            # Shared (stealable) search: one budget across owner and
-            # helpers, so total effort matches the serial accounting.
-            if not shard.spend(n):
-                raise SearchTimeout()
-            self._check_deadline()
-            return
         self._budget_left -= n
         if self._budget_left < 0:
             raise SearchTimeout()
@@ -420,11 +400,7 @@ class Engine:
         newest-first among ties). Verdicts are order-independent on
         budget-ample searches — every path must be killed either way —
         but witness traces and near-budget timeout boundaries may differ
-        from the LIFO run. When a steal registry is attached the search
-        runs on a shared, stealable worklist instead
-        (:meth:`_search_shared`)."""
-        if self.steal_registry is not None and self._shard is None:
-            return self._search_shared(initial)
+        from the LIFO run."""
         use_priority = self.config.schedule == "priority"
         frontier: list
         seq = 0
@@ -486,115 +462,6 @@ class Engine:
         finally:
             _STATES_EXPLORED.inc(explored)
         return None
-
-    # ------------------------------------------------------------------
-    # Shared (stealable) searches — repro.engine.schedule
-    # ------------------------------------------------------------------
-
-    def _search_shared(self, initial: list[PathState]) -> Optional[PathState]:
-        """Run one search on a shared, stealable worklist: register it so
-        drained pool threads can assist, then run the owner loop. The
-        worklist carries this search's remaining budget and deadline, so
-        helper effort is charged to the same limits."""
-        from ..engine.schedule import SharedWorklist
-
-        shard = SharedWorklist(
-            initial,
-            self._budget_left,
-            self._deadline_at,
-            description=getattr(self, "_desc", ""),
-        )
-        self.steal_registry.register(shard)
-        try:
-            self._run_shared(shard, owner=True)
-        finally:
-            self.steal_registry.unregister(shard)
-            self._budget_left = shard.budget_left
-        sj = self._sj
-        if shard.witness is not None:
-            # Helper-found witnesses carry sid 0 (stolen subtrees are
-            # unjournaled); only journal a witness the owner tracked.
-            if sj is not None and shard.witness.sid:
-                sj.witness(shard.witness.sid, _trace_label(shard.witness.trace))
-            return shard.witness
-        if shard.timed_out:
-            if sj is not None:
-                for s in shard.drain():
-                    if s.sid:
-                        sj.kill(
-                            s.sid,
-                            _trace_label(s.trace),
-                            provenance.BUDGET_TIMEOUT,
-                            "abandoned on the shared worklist at timeout",
-                        )
-            raise SearchTimeout()
-        return None
-
-    def _run_shared(self, shard, owner: bool) -> None:
-        """The step loop both the owner and helpers run against a shared
-        worklist. The owner pops newest-first and journals its own
-        subtree; helpers steal oldest-first and run unjournaled."""
-        sj = self._sj if owner else None
-        prev_shard = self._shard
-        prev_deadline = self._deadline_at
-        self._shard = shard
-        self._deadline_at = shard.deadline_at
-        explored = 0
-        try:
-            while True:
-                state = shard.get(owner)
-                if state is None:
-                    return
-                settled = False
-                try:
-                    self._check_deadline(every=16)
-                    explored += 1
-                    successors = self._step(state)
-                    if sj is not None:
-                        for child in successors:
-                            child.sid = sj.new_state(
-                                state.sid, _trace_label(child.trace)
-                            )
-                    shard.put_results(self._prune_batch(successors))
-                    settled = True
-                except _Witnessed as w:
-                    settled = True
-                    shard.found_witness(w.state)
-                    return
-                except SearchTimeout:
-                    settled = True
-                    shard.mark_timeout()
-                    return
-                finally:
-                    if not settled:
-                        shard.put_results([])
-        finally:
-            _STATES_EXPLORED.inc(explored)
-            self._shard = prev_shard
-            self._deadline_at = prev_deadline
-
-    def assist(self, shard) -> None:
-        """Work-steal helper entry point: step states of another engine's
-        in-flight search on this (idle) engine. Runs with journaling off
-        — stolen subtrees are unjournaled, so per-edge kill attribution
-        still equals the journal recount — and a fresh query history so
-        subsumption bookkeeping stays scoped to the assisted search. Dead
-        ends proven here flow into the shared refuted-state cache exactly
-        when the assisted search completes REFUTED."""
-        saved_sj, self._sj = self._sj, None
-        saved_history = self._history
-        self._history = QueryHistory(
-            enabled=self.config.simplify_queries, shared=self._refuted_cache
-        )
-        try:
-            self._run_shared(shard, owner=False)
-            if shard.refuted:
-                self._flush_refuted()
-            else:
-                self._history.discard_pending()
-        finally:
-            self._history = saved_history
-            self._sj = saved_sj
 
     # ------------------------------------------------------------------
     # Journaling hooks (no-ops when no journal is installed; subwalk

@@ -7,7 +7,9 @@ The scheduling layer reorders and re-budgets *work*, never answers:
   every search still converges to the same verdict;
 * **portfolio vs single rung** — cheap-first budget rungs re-run only
   survivors, and the final rung is the full configured budget, so every
-  job ends with exactly the single-rung verdict.
+  job ends with exactly the single-rung verdict;
+* **jobs=1 vs jobs=2 (thread pool)** — edge and fact jobs take one
+  dispatch path, and the pool only changes completion order.
 
 Hypothesis generates small mini-Java programs (same universe as the
 refutation-soundness suite) and all four analysis clients run end to end
@@ -19,10 +21,11 @@ path-level ladder may resolve a *different set* of edges than the
 serial Section 2 walk (a cheap path-mate can break the path before an
 expensive edge is escalated — the same latitude the jobs>1 contract
 already grants), so for the portfolio the record check is agreement:
-any job recorded by both runs must carry the same status. Work
-stealing is excluded: its shared budget can resolve searches that
-would otherwise time out (strictly more precise, not bit-identical
-near the budget boundary), which is why it has its own toggle.
+any job recorded by both runs must carry the same status. The pooled
+run gets the same agreement check: parallel path walks refute every
+edge of a path, not just up to the first refuted one. Every scheduling
+knob here is order-independent, so verdicts never depend on which
+worker finishes first.
 """
 
 from hypothesis import HealthCheck, given, seed, settings
@@ -120,4 +123,29 @@ def test_portfolio_matches_single_rung_for_all_four_clients(source):
         for description in ladder_records.keys() & single_records.keys():
             assert ladder_records[description] == single_records[description], (
                 f"portfolio flipped {description!r}\nprogram:\n" + source
+            )
+
+
+@seed(20130613)
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(programs())
+def test_thread_pool_matches_serial_for_all_four_clients(source):
+    pooled = _verdicts(source, jobs=2, backend="thread")
+    serial = _verdicts(source)
+    assert _strip_records(pooled) == _strip_records(serial), (
+        "the jobs=2 thread pool changed a client outcome\nprogram:\n" + source
+    )
+    # Parallel path walks refute every edge of a path, the serial walk
+    # stops at the first refuted one: compare the jobs both recorded.
+    for pooled_records, serial_records in zip(
+        _record_maps(pooled), _record_maps(serial)
+    ):
+        for description in pooled_records.keys() & serial_records.keys():
+            assert pooled_records[description] == serial_records[description], (
+                f"the thread pool flipped {description!r}\nprogram:\n" + source
             )

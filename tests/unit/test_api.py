@@ -268,6 +268,23 @@ class TestWireSchema:
                 {"client": "casts", "source": CAST_SAFE, "schema_version": 99}
             )
 
+    def test_from_dict_drops_retired_steal_false(self):
+        """Dicts written before work stealing was removed carry
+        ``"steal": false``; they still load, and the field is gone."""
+        old = {**AnalysisRequest(client="casts", source=CAST_SAFE).to_dict(),
+               "steal": False}
+        rebuilt = AnalysisRequest.from_dict(old)
+        assert "steal" not in rebuilt.to_dict()
+        assert rebuilt.to_dict() == {
+            k: v for k, v in old.items() if k != "steal"
+        }
+
+    def test_from_dict_rejects_retired_steal_true(self):
+        with pytest.raises(ValueError, match="work stealing was removed"):
+            AnalysisRequest.from_dict(
+                {"client": "casts", "source": CAST_SAFE, "steal": True}
+            )
+
     def test_from_dict_requires_client(self):
         with pytest.raises(ValueError, match="needs client="):
             AnalysisRequest.from_dict({"source": CAST_SAFE})

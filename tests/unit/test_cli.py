@@ -193,6 +193,28 @@ class TestExplainDiff:
         assert "verdict changes:" in out
         assert "-> timeout" in out
 
+    def test_diff_loads_reports_with_retired_steal_keys(
+        self, leaky_file, tmp_path, capsys
+    ):
+        """Reports written before work stealing was removed carry
+        ``work_stealing``/``steals`` in their schedule section; they must
+        still load and diff against a current report, either side."""
+        import json
+
+        a, b = self._reports(leaky_file, tmp_path, capsys)
+        payload = json.loads(open(a).read())
+        payload["schedule"].update({"work_stealing": False, "steals": 3})
+        old = str(tmp_path / "old.json")
+        with open(old, "w") as fh:
+            json.dump(payload, fh)
+        for pair in ((old, b), (b, old)):
+            assert main(["explain", "--diff", *pair]) == 0
+            out = capsys.readouterr().out
+            assert "verdict changes:" in out
+            assert "steals" not in out
+        assert main(["explain", "--report", old, "--status"]) == 0
+        assert "steals" not in capsys.readouterr().out
+
     def test_explain_requires_a_mode(self, capsys):
         assert main(["explain"]) == 2
         err = capsys.readouterr().err
@@ -270,7 +292,8 @@ class TestTop:
         frame = _render_top(
             {
                 "program": {"methods": 12, "commands": 80},
-                "metrics": {"serve.requests": 3, "driver.steals": 1},
+                "metrics": {"serve.requests": 3,
+                            "driver.priority_inversions": 1},
                 "schedule": {
                     "rungs": [
                         {"rung": 0, "budget": 1000, "scheduled": 6,
@@ -281,10 +304,10 @@ class TestTop:
                 "telemetry": {
                     "run": {"total_jobs": 6, "jobs": 2, "backend": "thread",
                             "finished": None},
-                    "totals": {"scheduled": 6, "refuted": 3, "stolen": 1},
+                    "totals": {"scheduled": 6, "refuted": 3},
                     "in_flight": [
                         {"description": "Registry.hold -> it", "rung": 1,
-                         "steals": 1, "since": 0.0}
+                         "since": 0.0}
                     ],
                     "workers": {"w0": 2, "w1": 1},
                 },
@@ -292,11 +315,11 @@ class TestTop:
         )
         assert "12 methods" in frame
         assert "running" in frame
-        assert "rung 1  steals 1  Registry.hold -> it" in frame
+        assert "rung 1  Registry.hold -> it" in frame
         assert "rung 0 @ 1000: 6/4/2" in frame
         assert "w0: 2 (67%)" in frame
         assert "6/8 solver questions answered from cache (75%)" in frame
-        assert "1 steal(s)" in frame
+        assert "1 inversion(s)" in frame
 
     def test_render_top_empty_payload(self):
         from repro.cli import _render_top

@@ -1,6 +1,6 @@
 """Unit tests for the adaptive scheduling layer (``repro.engine.schedule``):
-cost-model priorities, cheap-first portfolio rungs, path-level work
-stealing, and the cooperative per-rung deadlines that tie them together."""
+cost-model priorities, cheap-first portfolio rungs, and the cooperative
+per-rung deadlines that tie them together."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.engine import RefutationDriver, RunReport
 from repro.engine.schedule import (
     CostModel,
     InversionMeter,
-    SharedWorklist,
-    StealRegistry,
     rung_ladder,
 )
 from repro.ir import compile_program
@@ -120,51 +118,6 @@ class TestInversionMeter:
 
 
 # ---------------------------------------------------------------------------
-# SharedWorklist / StealRegistry
-# ---------------------------------------------------------------------------
-
-
-class TestSharedWorklist:
-    def test_owner_pops_newest_helper_steals_oldest(self):
-        shard = SharedWorklist(["s0", "s1", "s2"], budget=100, deadline_at=None)
-        assert shard.get(owner=True) == "s2"  # owner: LIFO
-        shard.put_results([])
-        assert shard.get(owner=False) == "s0"  # helper: steals the tail
-        assert shard.steals == 1
-        shard.put_results([])
-        assert shard.get(owner=True) == "s1"
-        shard.put_results([])
-        # Worklist empty, nothing in flight: both sides see completion.
-        assert shard.get(owner=True) is None
-        assert shard.get(owner=False) is None
-        assert shard.refuted
-
-    def test_witness_ends_the_search_unrefuted(self):
-        shard = SharedWorklist(["s0"], budget=100, deadline_at=None)
-        assert shard.get(owner=True) == "s0"
-        shard.found_witness("s0")
-        assert shard.witness == "s0"
-        assert not shard.refuted
-
-    def test_shared_budget_exhaustion(self):
-        shard = SharedWorklist(["s0"], budget=3, deadline_at=None)
-        assert shard.spend(2)
-        assert not shard.spend(2)  # 4 > 3: the shared budget ran dry
-
-    def test_registry_picks_heaviest_and_closes(self):
-        registry = StealRegistry()
-        light = SharedWorklist(["a"], budget=10, deadline_at=None)
-        heavy = SharedWorklist(["a", "b", "c"], budget=10, deadline_at=None)
-        registry.register(light)
-        registry.register(heavy)
-        assert registry.pick() is heavy
-        registry.close()
-        assert registry.pick() is None
-        registry.unregister(light)
-        registry.unregister(heavy)
-
-
-# ---------------------------------------------------------------------------
 # Priority scheduling
 # ---------------------------------------------------------------------------
 
@@ -229,22 +182,55 @@ class TestPortfolio:
             statuses = _statuses(driver.refute_edges(edges), edges)
         assert statuses == baseline
 
-    def test_facts_run_the_same_ladder(self, pta):
-        # mixed_app's leak sink is a static store; ask about its rhs var.
-        cmd = next(
-            c
+    @pytest.mark.parametrize("portfolio", [False, True], ids=["fixed", "portfolio"])
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            dict(jobs=1),
+            dict(jobs=2, backend="thread"),
+            dict(jobs=2, backend="process"),
+        ],
+        ids=["jobs1", "thread2", "process2"],
+    )
+    def test_facts_run_the_same_ladder(self, pta, setup, portfolio):
+        """Fact jobs take the edge jobs' path: the same rung ladder and
+        the same dispatch, inline or on either pool backend."""
+        # mixed_app's leak sinks are static stores; ask about each rhs
+        # var. The hard screen's store needs more than rung 0's budget.
+        loc = next(iter(pta.graph.all_abs_locs()))
+        requests = [
+            (c.label, [(c.rhs.name, frozenset({loc}))], f"fact@{c.label}")
             for c in pta.program.commands.values()
             if type(c).__name__ == "StaticWrite"
-        )
-        loc = next(iter(pta.graph.all_abs_locs()))
-        request = (cmd.label, [(cmd.rhs.name, frozenset({loc}))], "fact@test")
+        ]
+        assert len(requests) > 1  # a batch, so pooled setups use the pool
         fixed = RefutationDriver(pta, SearchConfig(), jobs=1).refute_facts(
-            [request]
+            requests
         )
-        ladder = RefutationDriver(
-            pta, SearchConfig(**PORTFOLIO), jobs=1
-        ).refute_facts([request])
-        assert [r.status for r in fixed] == [r.status for r in ladder]
+        config = (
+            SearchConfig(**PORTFOLIO)
+            if portfolio
+            else SearchConfig(path_budget=PORTFOLIO["path_budget"])
+        )
+        with RefutationDriver(pta, config, **setup) as driver:
+            ran = driver.refute_facts(requests)
+            report = driver.build_report(command="facts")
+        assert [r.status for r in ran] == [r.status for r in fixed]
+        assert sorted(r.description for r in report.records) == sorted(
+            job[2] for job in requests
+        )
+        assert {r.kind for r in report.records} == {"fact"}
+        if setup["jobs"] > 1:
+            # The batch ran on the pool (a lone survivor runs inline).
+            assert any(r.worker != "serial" for r in report.records)
+        rungs = report.schedule["rungs"]
+        if portfolio:
+            assert report.schedule["resolved_at_rung"] == {"0": 3, "1": 1}
+            assert rungs[0]["carryover"] == 1
+            assert sorted(r.rung for r in report.records) == [0, 0, 0, 1]
+        else:
+            assert rungs == []
+            assert all(r.rung == 0 for r in report.records)
 
     def test_round_trips_through_report_json(self, pta, edges):
         driver = RefutationDriver(pta, SearchConfig(**PORTFOLIO), jobs=1)
@@ -311,35 +297,6 @@ class TestPathPortfolio:
         assert len(pairs) == 1
         assert pairs[0][0] == path[0]
         assert pairs[0][1].status == REFUTED
-
-
-# ---------------------------------------------------------------------------
-# Work stealing
-# ---------------------------------------------------------------------------
-
-
-class TestWorkStealing:
-    def test_thread_backend_steals_and_verdicts_hold(self, pta, edges, baseline):
-        config = SearchConfig(work_stealing=True)
-        with RefutationDriver(pta, config, jobs=4) as driver:
-            statuses = _statuses(driver.refute_edges(edges), edges)
-            report = driver.build_report(command="check")
-        # All edges refutable well under budget: the shared budget cannot
-        # flip a verdict here, so stealing must agree with the baseline.
-        assert statuses == baseline
-        assert report.schedule["work_stealing"]
-        # The hard tail job is in flight while three workers drain: at
-        # least one subtree must actually get stolen.
-        assert report.schedule["steals"] > 0
-
-    def test_serial_and_process_ignore_the_toggle(self, pta, edges, baseline):
-        serial = RefutationDriver(pta, SearchConfig(work_stealing=True), jobs=1)
-        assert serial._steal_registry is None
-        assert _statuses(serial.refute_edges(edges), edges) == baseline
-        config = SearchConfig(work_stealing=True)
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            assert driver._steal_registry is None
-            assert _statuses(driver.refute_edges(edges), edges) == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.engine.events import (
     EdgeEscalated,
     EdgeFinished,
     EdgeScheduled,
-    EdgeStolen,
     RunFinished,
     RunStarted,
     SpanFinished,
@@ -54,7 +53,7 @@ def edges(pta):
 
 
 GOLDEN = """\
-# repro-exposition-version 2
+# repro-exposition-version 3
 # HELP repro_driver_job_seconds Distribution of driver.job_seconds.
 # TYPE repro_driver_job_seconds summary
 repro_driver_job_seconds_count 1
@@ -65,9 +64,9 @@ repro_driver_job_seconds{quantile="0.95"} 2
 # TYPE repro_driver_rung_jobs_total counter
 repro_driver_rung_jobs_total{event="carryover",rung="0"} 1
 repro_driver_rung_jobs_total{event="scheduled",rung="0"} 4
-# HELP repro_driver_sched_events_total Scheduler events: work steals and priority inversions.
+# HELP repro_driver_sched_events_total Scheduler events: priority inversions.
 # TYPE repro_driver_sched_events_total counter
-repro_driver_sched_events_total{event="steal"} 1
+repro_driver_sched_events_total{event="priority_inversion"} 1
 # HELP repro_executor_kills_total Path states killed, by kill-taxonomy reason.
 # TYPE repro_executor_kills_total counter
 repro_executor_kills_total{reason="solver-unsat"} 3
@@ -96,7 +95,7 @@ class TestExposition:
         reg.counter("executor.kill.solver-unsat").inc(3)
         reg.counter("solver.context_hits").inc(2)
         reg.counter("solver.checks").inc(5)
-        reg.counter("driver.steals").inc(1)
+        reg.counter("driver.priority_inversions").inc(1)
         reg.counter("driver.rung.scheduled.0").inc(4)
         reg.counter("driver.rung.carryover.0").inc(1)
         reg.counter("store.hits").inc(6)
@@ -199,12 +198,9 @@ class TestTelemetryHub:
         assert [e["description"] for e in snap["in_flight"]] == ["e1", "e2"]
 
         hub.sink(EdgeEscalated(description="e1", rung=0, next_budget=10_000))
-        hub.sink(EdgeStolen(description="e1", thread="w1", queued=3))
         snap = hub.snapshot()
-        entry = snap["in_flight"][0]
-        assert entry["rung"] == 1 and entry["steals"] == 1
+        assert snap["in_flight"][0]["rung"] == 1
         assert snap["totals"]["escalated"] == 1
-        assert snap["totals"]["stolen"] == 1
 
         hub.sink(_finish("e1"))
         hub.sink(_finish("e2", status="witnessed", worker="w1"))
@@ -485,7 +481,6 @@ class TestProcessPoolSchedulerMetrics:
         """Counters add, gauges take the max — merged totals must equal
         the per-worker sums for every scheduler family."""
         names = (
-            "driver.steals",
             "driver.priority_inversions",
             "driver.rung.scheduled.0",
             "driver.rung.resolved.0",
@@ -510,7 +505,7 @@ class TestProcessPoolSchedulerMetrics:
         text = render_prometheus(parent)
         assert (
             'repro_driver_rung_jobs_total{event="scheduled",rung="0"}'
-            f" {sum(w + 2 for w in range(3))}" in text
+            f" {sum(w + 1 for w in range(3))}" in text
         )
 
     def test_process_backend_portfolio_rung_counters_match_schedule(
