@@ -13,12 +13,24 @@ orderings beyond the lifecycle order are approximated — see DESIGN.md.)
 
 from __future__ import annotations
 
-from ..lang import ast, frontend, parse_program
+from ..lang import CheckedProgram, ast, frontend
 from ..lang.types import ClassTable, MethodInfo
-from .library import LIBRARY_SOURCE
+from .library import LIBRARY_SOURCE, checked_library
 from .lifecycle import component_classes, default_argument, handlers_of
 
 HARNESS_CLASS = "AndroidHarness"
+
+
+def check_app(app_source: str, include_library: bool = True) -> CheckedProgram:
+    """Library + app + synthesized harness, checked as one program.
+
+    Equivalent to running :func:`repro.lang.frontend` over the text
+    :func:`build_full_source` returns, but the library is parsed and
+    checked once per process (:func:`checked_library`) and only the app
+    and the harness are parsed here. Without the library the base is the
+    empty text, so the app starts on line 2, as in that text."""
+    app, harness = _app_and_harness(app_source, include_library)
+    return frontend(harness, app)
 
 
 def build_full_source(app_source: str, include_library: bool = True) -> str:
@@ -29,11 +41,18 @@ def build_full_source(app_source: str, include_library: bool = True) -> str:
     objects — our stand-in for Java's lazy class initialization.
     """
     library = LIBRARY_SOURCE if include_library else ""
-    combined = library + "\n" + app_source
-    checked = frontend(combined)
-    app_classes = {cls.name for cls in parse_program(app_source).classes}
-    harness = generate_harness(checked.table, app_classes)
-    return combined + "\n" + harness
+    _, harness = _app_and_harness(app_source, include_library)
+    return library + "\n" + app_source + "\n" + harness
+
+
+def _app_and_harness(
+    app_source: str, include_library: bool
+) -> tuple[CheckedProgram, str]:
+    """The app checked against its base, and the harness text for it."""
+    base = checked_library() if include_library else frontend("")
+    app = frontend(app_source, base)
+    app_classes = {cls.name for cls in app.unit.classes[len(base.unit.classes):]}
+    return app, generate_harness(app.table, app_classes)
 
 
 def generate_harness(table: ClassTable, app_classes: set[str]) -> str:

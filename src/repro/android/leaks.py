@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from ..engine import RefutationDriver, RunReport
 from ..ir import build_program
-from ..lang import frontend
 from ..pointsto import (
     ContainerSensitive,
     HeapEdge,
@@ -36,7 +35,7 @@ from ..pointsto import (
 from ..pointsto.graph import AbsLoc
 from ..symbolic import SearchConfig
 from ..symbolic.stats import REFUTED, TIMEOUT, WITNESSED
-from .harness import build_full_source
+from . import harness
 from .library import CONTAINER_CLASSES, EMPTY_TABLE_ANNOTATIONS, library_class_names
 
 ALARM_REFUTED = "refuted"
@@ -132,8 +131,7 @@ class LeakChecker:
         self.app_name = app_name
         self.annotated = annotated
         self.target_class = target_class
-        full_source = build_full_source(app_source, include_library)
-        checked = frontend(full_source)
+        checked = harness.check_app(app_source, include_library)
         self.program = build_program(checked)
         policy = ContainerSensitive(
             containers=set(CONTAINER_CLASSES), class_table=checked.table

@@ -19,6 +19,11 @@ the points-to analysis, mirroring WALA's 0-1-Container-CFA.
 
 from __future__ import annotations
 
+import threading
+from typing import Optional
+
+from ..lang import CheckedProgram, frontend
+
 LIBRARY_SOURCE = """
 // ---------------------------------------------------------------- contexts --
 class Context { }
@@ -233,15 +238,23 @@ COMPONENT_CLASSES = ("Activity", "Service", "BroadcastReceiver", "Fragment")
 #: anything.
 EMPTY_TABLE_ANNOTATIONS = {("HashMap", "EMPTY_TABLE"), ("Vec", "EMPTY")}
 
-#: Library class names (filled lazily; used to separate app classes).
-_LIBRARY_CLASS_NAMES: set[str] = set()
+_CHECKED: Optional[CheckedProgram] = None
+_CHECKED_LOCK = threading.Lock()
+
+
+def checked_library() -> CheckedProgram:
+    """``LIBRARY_SOURCE`` parsed and type-checked, once per process.
+
+    Built on first use, not at import. The result is shared and never
+    mutated: apps are checked against it as a base (see
+    :func:`repro.android.harness.check_app`)."""
+    global _CHECKED
+    if _CHECKED is None:
+        with _CHECKED_LOCK:
+            if _CHECKED is None:
+                _CHECKED = frontend(LIBRARY_SOURCE)
+    return _CHECKED
 
 
 def library_class_names() -> set[str]:
-    global _LIBRARY_CLASS_NAMES
-    if not _LIBRARY_CLASS_NAMES:
-        from ..lang import parse_program
-
-        unit = parse_program(LIBRARY_SOURCE)
-        _LIBRARY_CLASS_NAMES = {cls.name for cls in unit.classes}
-    return set(_LIBRARY_CLASS_NAMES)
+    return {cls.name for cls in checked_library().unit.classes}

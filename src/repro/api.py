@@ -272,20 +272,21 @@ def _resolve_pta(request: AnalysisRequest) -> "object":
             raise ValueError(
                 "AnalysisRequest needs one of source=, program=, or pta="
             )
-        program = build_program(frontend_source(request))
+        program = build_program(
+            check_source(request.source, request.include_library)
+        )
     return pointsto_analyze(program, policy=request.context_policy)
 
 
-def frontend_source(request: AnalysisRequest) -> "object":
-    """Run the frontend over the request's source text, wrapping it in the
-    Android library+harness first when ``include_library`` asks for it."""
+def check_source(source: str, include_library: bool) -> "object":
+    """The checked program for an app's source text: with the Android
+    library and the synthesized harness, or else the bare text."""
+    if include_library:
+        from .android.harness import check_app
+
+        return check_app(source)
     from .lang import frontend
 
-    source = request.source
-    if request.include_library:
-        from .android.harness import build_full_source
-
-        source = build_full_source(source)
     return frontend(source)
 
 

@@ -503,16 +503,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .android.harness import build_full_source
+    from .api import check_source
     from .ir import build_program
-    from .lang import frontend
     from .pointsto import analyze
 
-    if args.no_library:
-        source = _read(args.file)
-    else:
-        source = build_full_source(_read(args.file))
-    pta = analyze(build_program(frontend(source)))
+    checked = check_source(_read(args.file), not args.no_library)
+    pta = analyze(build_program(checked))
     print(pta.graph.to_dot())
     return 0
 
@@ -609,18 +605,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_casts(args) -> int:
-    from .android.harness import build_full_source
+    from .api import check_source
     from .clients import SAFE, analyze_casts
     from .engine import RefutationDriver
     from .ir import build_program
-    from .lang import frontend
     from .pointsto import analyze
 
-    if args.no_library:
-        source = _read(args.file)
-    else:
-        source = build_full_source(_read(args.file))
-    program = build_program(frontend(source))
+    program = build_program(check_source(_read(args.file), not args.no_library))
     pta = analyze(program)
     driver = RefutationDriver(
         pta,
@@ -1104,15 +1095,11 @@ def _explain_witness(args, record) -> None:
             file=sys.stderr,
         )
         return
-    from .android.harness import build_full_source
+    from .api import check_source
     from .ir import build_program
-    from .lang import frontend
 
-    if args.no_library:
-        source = _read(args.source)
-    else:
-        source = build_full_source(_read(args.source))
-    program = build_program(frontend(source))
+    checked = check_source(_read(args.source), not args.no_library)
+    program = build_program(checked)
     print(render_trace(program, record.witness_trace or [], header))
 
 

@@ -5,6 +5,8 @@ Thresher analyzed Java bytecode through WALA; we analyze a small Java subset
 through this frontend. See DESIGN.md for the substitution rationale.
 """
 
+from typing import Optional
+
 from .ast import CompilationUnit
 from .errors import FrontendError, LexError, ParseError, TypeCheckError
 from .lexer import Token, tokenize
@@ -30,6 +32,15 @@ __all__ = [
 ]
 
 
-def frontend(source: str) -> CheckedProgram:
-    """Parse and type-check ``source`` in one step."""
-    return check_program(parse_program(source))
+def frontend(source: str, base: Optional[CheckedProgram] = None) -> CheckedProgram:
+    """Parse and type-check ``source`` in one step.
+
+    With ``base``, ``source`` is checked as the text that follows the
+    base's on the next line: only ``source`` is parsed and checked, and
+    the result (classes, class table, line and column numbers) is what
+    ``frontend(base_text + "\\n" + source)`` gives, while ``base`` itself
+    is left as it was, so one checked base can be shared."""
+    first_line = base.last_line + 1 if base is not None else 1
+    checked = check_program(parse_program(source, first_line), base)
+    checked.last_line = first_line + source.count("\n")
+    return checked

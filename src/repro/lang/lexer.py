@@ -101,14 +101,17 @@ class Token:
         return self.kind == "keyword" and self.text == text
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source``, returning a token list terminated by EOF."""
-    return list(_tokens(source))
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """Tokenize ``source``, returning a token list terminated by EOF.
+
+    ``first_line`` is the line the text starts on; the frontend sets it
+    when it checks a text against a base program (see
+    :func:`repro.lang.frontend`)."""
+    return list(_tokens(source, first_line))
 
 
-def _tokens(source: str) -> Iterator[Token]:
+def _tokens(source: str, line: int) -> Iterator[Token]:
     i = 0
-    line = 1
     col = 1
     n = len(source)
 

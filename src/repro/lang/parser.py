@@ -22,9 +22,10 @@ from .lexer import Token, tokenize
 _PRIM_TYPES = {"int": ast.INT, "boolean": ast.BOOLEAN, "void": ast.VOID}
 
 
-def parse_program(source: str) -> ast.CompilationUnit:
-    """Parse a complete compilation unit (a sequence of class declarations)."""
-    return Parser(tokenize(source)).parse_unit()
+def parse_program(source: str, first_line: int = 1) -> ast.CompilationUnit:
+    """Parse a complete compilation unit (a sequence of class declarations)
+    whose text starts on line ``first_line``."""
+    return Parser(tokenize(source, first_line)).parse_unit()
 
 
 class Parser:

@@ -139,13 +139,27 @@ class CheckedProgram:
 
     table: ClassTable
     unit: ast.CompilationUnit
+    #: The line the source text ends on. A text checked against this
+    #: program as its base starts on the next line.
+    last_line: int = 1
 
 
-def check_program(unit: ast.CompilationUnit) -> CheckedProgram:
-    """Type-check ``unit`` in place and return the checked program."""
+def check_program(
+    unit: ast.CompilationUnit, base: Optional[CheckedProgram] = None
+) -> CheckedProgram:
+    """Type-check ``unit`` in place and return the checked program.
+
+    With ``base``, the result holds the base's classes followed by
+    ``unit``'s, with one class table over all of them; only ``unit``'s
+    classes are checked, and the base's AST is not touched (the base was
+    checked without the classes that follow it, so they cannot change
+    how it resolves)."""
+    if base is not None:
+        unit = ast.CompilationUnit(base.unit.classes + unit.classes)
     table = _build_class_table(unit)
     checker = _Checker(table)
-    for cls in unit.classes:
+    start = len(base.unit.classes) if base is not None else 0
+    for cls in unit.classes[start:]:
         checker.check_class(cls)
     return CheckedProgram(table, unit)
 

@@ -16,6 +16,9 @@ Three complementary substrates (see docs/observability.md):
   hub behind ``watch`` / ``repro top``, the always-on slow-query flight
   recorder (``repro explain --slow``), and periodic snapshot streaming
   (``--metrics-stream FILE``).
+* :mod:`repro.obs.isolation` — thread-local isolation under which the
+  flight recorder replays a search without touching the registry, the
+  shared verdict caches or the symbolic-variable numbering.
 
 Usage from pipeline code::
 

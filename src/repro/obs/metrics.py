@@ -18,6 +18,9 @@ Design constraints, in order:
 3. *always on* — unlike tracing there is no disabled mode: the registry
    is the single source of truth, and dumping it (``--metrics FILE``)
    costs nothing extra during the run.
+4. *isolatable* — a thread inside :func:`repro.obs.isolation.isolated`
+   (a flight-recorder replay) updates and registers nothing, while other
+   threads keep reporting.
 
 Histograms keep a bounded value buffer (deterministic stride thinning
 beyond ``keep``) from which p50/p95 are estimated; count/sum/min/max are
@@ -29,6 +32,8 @@ from __future__ import annotations
 import json
 import threading
 from typing import Optional, Union
+
+from . import isolation
 
 Number = Union[int, float]
 
@@ -44,6 +49,8 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, n: Number = 1) -> None:
+        if isolation.ACTIVE and isolation.here():
+            return
         with self._lock:
             self._value += n
 
@@ -77,10 +84,14 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: Number) -> None:
+        if isolation.ACTIVE and isolation.here():
+            return
         with self._lock:
             self._value = value
 
     def add(self, delta: Number) -> None:
+        if isolation.ACTIVE and isolation.here():
+            return
         with self._lock:
             self._value += delta
 
@@ -132,6 +143,8 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: Number) -> None:
+        if isolation.ACTIVE and isolation.here():
+            return
         with self._lock:
             self.count += 1
             self.total += value
@@ -230,6 +243,8 @@ class MetricsRegistry:
 
     def _get_or_create(self, name: str, cls, **kwargs) -> Instrument:
         inst = self._instruments.get(name)
+        if inst is None and isolation.ACTIVE and isolation.here():
+            return cls(name, **kwargs)  # an isolated thread registers nothing
         if inst is None:
             with self._lock:
                 inst = self._instruments.get(name)

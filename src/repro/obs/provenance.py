@@ -46,7 +46,7 @@ import json
 import threading
 from typing import Iterable, Optional
 
-from . import metrics
+from . import isolation, metrics
 
 # ---------------------------------------------------------------------------
 # The kill-reason taxonomy (see docs/observability.md for the mapping from
@@ -380,26 +380,38 @@ _tls = threading.local()
 
 
 def install(journal: Optional[RunJournal] = None) -> RunJournal:
-    """Make ``journal`` (or a fresh one) the process-wide active journal."""
+    """Make ``journal`` (or a fresh one) the process-wide active journal.
+
+    A thread inside :func:`repro.obs.isolation.isolated` has a journal of
+    its own: there, this function, :func:`disable`, :func:`get_journal`
+    and :func:`enabled` act on that thread's journal only."""
     global _active
     journal = journal or RunJournal()
-    _active = journal
+    if isolation.here():
+        _tls.journal = journal
+    else:
+        _active = journal
     return journal
 
 
 def disable() -> None:
     """Return to the no-journal default."""
     global _active
-    _active = None
+    if isolation.here():
+        _tls.journal = None
+    else:
+        _active = None
 
 
 def get_journal() -> Optional[RunJournal]:
     """The active journal, or None when journaling is disabled."""
+    if isolation.ACTIVE and isolation.here():
+        return getattr(_tls, "journal", None)
     return _active
 
 
 def enabled() -> bool:
-    return _active is not None
+    return get_journal() is not None
 
 
 def note_unsat(atoms: Iterable, cap: int = 6) -> None:

@@ -46,7 +46,7 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from . import metrics, provenance, trace
+from . import isolation, metrics, provenance, trace
 
 #: Bumped whenever the exposition's family names/labels change shape.
 EXPOSITION_VERSION = 3
@@ -454,7 +454,12 @@ class FlightRecorder:
         kill counts that ``RunReport.attribution`` is asserted against).
         With no journal installed, replay the search under temporary
         instruments; a temporary tracer is only installed when tracing is
-        off, so an installed tracer's sink wiring is never disturbed."""
+        off, so an installed tracer's sink wiring is never disturbed. The
+        replay runs isolated (:mod:`repro.obs.isolation`): the search
+        already counted itself when it first ran, so the registry and the
+        shared caches must end as if it had not run again, and its
+        journal is this thread's alone, so concurrent jobs neither write
+        into it nor start journaling."""
         book = provenance.get_journal()
         if book is not None:
             searches = book.searches_for(description)
@@ -465,16 +470,20 @@ class FlightRecorder:
             return sub, None
         if replay is None:
             return None, None
-        temp_journal = provenance.install(provenance.RunJournal())
+        temp_journal = provenance.RunJournal()
         temp_tracer = None if trace.enabled() else trace.install(
             trace.Tracer(max_spans=100_000)
         )
         try:
-            replay()
+            with isolation.isolated():
+                provenance.install(temp_journal)
+                try:
+                    replay()
+                finally:
+                    provenance.disable()
         except Exception:
             pass
         finally:
-            provenance.disable()
             if temp_tracer is not None:
                 trace.disable()
         sub = provenance.RunJournal()

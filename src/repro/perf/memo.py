@@ -23,6 +23,8 @@ import threading
 from collections import OrderedDict
 from typing import Hashable, Optional
 
+from ..obs import isolation
+
 #: Default per-table capacity; entries are (small tuple key -> bool).
 MEMO_CAPACITY = 1 << 16
 
@@ -53,6 +55,12 @@ class LRUCache:
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, default=None):
+        if isolation.ACTIVE and isolation.here():
+            private = isolation.overlay(self)
+            if key in private:
+                return private[key]
+            with self._lock:
+                return self._data.get(key, default)
         with self._lock:
             try:
                 value = self._data[key]
@@ -62,6 +70,9 @@ class LRUCache:
             return value
 
     def put(self, key: Hashable, value) -> None:
+        if isolation.ACTIVE and isolation.here():
+            isolation.overlay(self)[key] = value
+            return
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)

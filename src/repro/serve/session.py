@@ -42,12 +42,12 @@ from ..api import (
     CLIENTS,
     AnalysisRequest,
     _run_client,
+    check_source,
     validate_selectors,
 )
 from ..engine import RefutationDriver
 from ..engine.driver import Job
 from ..ir import build_program
-from ..lang import frontend
 from .. import perf
 from ..obs import metrics, provenance, telemetry
 from ..pointsto import analyze as pointsto_analyze
@@ -190,18 +190,11 @@ class ProgramSession:
 
     # -- pipeline front half -------------------------------------------------
 
-    def _full_source(self, source: str) -> str:
-        if self._include_library:
-            from ..android.harness import build_full_source
-
-            return build_full_source(source)
-        return source
-
     def _rebuild(self, source: str) -> None:
         """Cold path: build everything from scratch and start a fresh
         driver. Callers have already cleared (or decided to keep) the
         verdict and fact tables."""
-        program = build_program(frontend(self._full_source(source)))
+        program = build_program(check_source(source, self._include_library))
         self._program = program
         self._pta = pointsto_analyze(
             program, policy=self._policy, retain_solver=True
@@ -294,7 +287,7 @@ class ProgramSession:
         with self._rw.write():
             if classes is not None:
                 source = splice_classes(self._source, classes)
-            new_program = build_program(frontend(self._full_source(source)))
+            new_program = build_program(check_source(source, self._include_library))
             new_prints = method_fingerprints(new_program)
             if program_signature(new_program) != program_signature(
                 self._program

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+from ..obs import isolation
+
 _ids = itertools.count()
 
 REF = "ref"
@@ -26,7 +28,9 @@ class SymVar:
     def __init__(self, kind: str, hint: str = "") -> None:
         if kind not in (REF, DATA):
             raise ValueError(f"bad symvar kind {kind!r}")
-        self.vid = next(_ids)
+        self.vid = next(
+            isolation.private_ids() if isolation.ACTIVE and isolation.here() else _ids
+        )
         self.kind = kind
         self.hint = hint
         # Rendered once: the repr is the sort key of every LinExpr.of.

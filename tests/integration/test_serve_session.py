@@ -15,6 +15,7 @@ The central claims of the incremental re-analysis design, as tested here:
 
 import io
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,37 @@ class TestLifecycle:
             assert update["mode"] == "incremental"
             assert update["changed_methods"] == [f"{name}.onStart"]
             assert meta["invalidated_edges"] >= 1
+        finally:
+            session.close()
+
+    def test_edit_loop_with_the_android_library(self, lifecycle_source):
+        """The same loop on the library-backed front half: screens are
+        Activities driven by the synthesized harness, not by ``main``."""
+        app = re.sub(
+            r"class (Screen\d+) \{",
+            r"class \1 extends Activity {",
+            lifecycle_source[: lifecycle_source.index("class M {")],
+        )
+        session = ProgramSession(app, include_library=True)
+        try:
+            cold, cold_meta = session.analyze(REACH_PARAMS)
+            assert cold["status"] == "violated"
+            assert cold_meta["jobs_run"] == N_SCREENS
+            edited = lifecycle_edit(app, screen=EDITED)
+            update, update_meta = session.update({"source": edited})
+            assert update["mode"] == "incremental"
+            assert update["changed_methods"] == [f"Screen{EDITED}.onStart"]
+            assert 1 <= update_meta["invalidated_edges"] < N_SCREENS
+            warm, warm_meta = session.analyze(REACH_PARAMS)
+            assert warm_meta["jobs_run"] == update_meta["invalidated_edges"]
+            cold_session = ProgramSession(edited, include_library=True)
+            try:
+                cold_edited, _ = cold_session.analyze(REACH_PARAMS)
+            finally:
+                cold_session.close()
+            assert json.dumps(warm["verdicts"], sort_keys=True) == json.dumps(
+                cold_edited["verdicts"], sort_keys=True
+            )
         finally:
             session.close()
 

@@ -1,10 +1,12 @@
 """Tests for the process-wide metrics registry (:mod:`repro.obs.metrics`)."""
 
 import json
+import sys
 import threading
 
 import pytest
 
+from repro.obs import isolation
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -164,3 +166,91 @@ class TestConcurrentWriters:
         self._hammer(work)
         assert len({id(i) for i in seen}) == 1  # one instrument, no dupes
         assert reg.counter("shared").value == self.THREADS
+
+
+class TestIsolation:
+    """A thread inside ``isolation.isolated()`` (a flight-recorder replay)
+    leaves the registry untouched while other threads keep counting."""
+
+    def test_isolated_updates_are_dropped(self):
+        reg = MetricsRegistry()
+        c, g, h = reg.counter("c"), reg.gauge("g"), reg.histogram("h")
+        with isolation.isolated():
+            c.inc(5)
+            g.set(3)
+            g.add(1)
+            h.observe(7)
+            reg.counter("new.inside").inc()
+        assert (c.value, g.value, h.count) == (0, 0.0, 0)
+        assert reg.names() == ["c", "g", "h"]
+        c.inc()
+        assert c.value == 1
+
+    def test_nested_blocks(self):
+        c = Counter("c")
+        with isolation.isolated():
+            with isolation.isolated():
+                c.inc()
+            assert isolation.here()
+            c.inc()
+        assert not isolation.here()
+        assert isolation.ACTIVE == 0
+        c.inc()
+        assert c.value == 1
+
+    def test_concurrent_threads_keep_their_updates(self):
+        c = Counter("c")
+        per_thread = 20_000
+        start = threading.Barrier(3)
+
+        def isolated_work():
+            start.wait()
+            with isolation.isolated():
+                for _ in range(per_thread):
+                    c.inc()
+
+        def counted_work():
+            start.wait()
+            for _ in range(per_thread):
+                c.inc()
+
+        threads = [
+            threading.Thread(target=isolated_work),
+            threading.Thread(target=counted_work),
+            threading.Thread(target=counted_work),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert c.value == 2 * per_thread
+        assert isolation.ACTIVE == 0
+
+    def test_isolated_journal_is_this_threads_own(self, monkeypatch):
+        from repro.obs import provenance
+
+        run_journal = provenance.RunJournal()
+        monkeypatch.setattr(provenance, "_active", run_journal)
+        seen = {}
+
+        def other_thread():
+            seen["journal"] = provenance.get_journal()
+            seen["enabled"] = provenance.enabled()
+
+        with isolation.isolated():
+            assert provenance.get_journal() is None  # not the run's journal
+            own = provenance.install(provenance.RunJournal())
+            assert provenance.get_journal() is own
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=60)
+            provenance.disable()
+        assert not thread.is_alive()
+        assert seen == {"journal": run_journal, "enabled": True}
+        assert provenance.get_journal() is run_journal

@@ -4,10 +4,14 @@ exposition, the lifecycle hub, the slow-query flight recorder, periodic
 metric streaming, and run-report diffing."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.bench.workloads import mixed_app
 from repro.engine import RefutationDriver, diff_reports, render_diff
 from repro.engine.events import (
@@ -544,3 +548,56 @@ class TestProcessPoolSchedulerMetrics:
         assert rungs[0]["resolved"] + rungs[0]["carryover"] == len(edges)
         if rungs[0]["carryover"]:
             assert rungs[1]["scheduled"] == rungs[0]["carryover"]
+
+
+# ---------------------------------------------------------------------------
+# Replays leave the process-wide state alone
+# ---------------------------------------------------------------------------
+
+_COUNTERS_AFTER_RUN = """
+import json
+from repro.android.leaks import LeakChecker
+from repro.bench import APPS
+from repro.obs import metrics
+from repro.symbolic import SearchConfig
+
+app = next(a for a in APPS if a.name == "PulsePoint")
+LeakChecker(app.source, app.name, config=SearchConfig(slow_query_ms=0)).run()
+print(json.dumps({
+    name: data["value"]
+    for name, data in metrics.REGISTRY.to_dict().items()
+    if data["type"] == "counter"
+}, sort_keys=True))
+"""
+
+
+class TestReplayIsolation:
+    def _counters(self, flight_dir, **env):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        run_env = dict(os.environ)
+        run_env.pop("REPRO_FLIGHT_DISABLE", None)
+        run_env.update(
+            PYTHONPATH=src,
+            PYTHONHASHSEED="0",
+            REPRO_FLIGHT_DIR=str(flight_dir),
+            **env,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNTERS_AFTER_RUN],
+            env=run_env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_captures_leave_registry_as_without_recorder(self, tmp_path):
+        """Every search crosses ``slow_query_ms=0``, so the recorder
+        replays up to its cap; the registry must end exactly as in a run
+        with the recorder vetoed (fresh processes, fixed hash seed)."""
+        captured = self._counters(tmp_path / "on")
+        assert telemetry.list_captures(str(tmp_path / "on")), "nothing replayed"
+        vetoed = self._counters(tmp_path / "off", REPRO_FLIGHT_DISABLE="1")
+        assert telemetry.list_captures(str(tmp_path / "off")) == []
+        assert captured == vetoed
