@@ -19,7 +19,7 @@ Desugarings performed here (all standard, per Section 3 of the paper):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Collection, Optional
 
 from ..lang import ast
 from ..lang.errors import FrontendError, SourcePosition
@@ -33,9 +33,27 @@ class LoweringError(FrontendError):
     """Raised when a construct cannot be lowered to the IR."""
 
 
-def build_program(checked: CheckedProgram, want_entry: bool = True) -> IRProgram:
-    """Lower a checked program to IR, synthesize the entry, assign labels."""
+def build_program(
+    checked: CheckedProgram,
+    want_entry: bool = True,
+    classes: Optional[Collection[str]] = None,
+    base: Optional[IRProgram] = None,
+) -> IRProgram:
+    """Lower a checked program to IR, synthesize the entry, assign labels.
+
+    With ``classes``, lower only those classes: no built-in constructors,
+    no entry and no labels (the caller grafts the methods into ``base``,
+    a build of the same program). Allocation-site hints carry on from the
+    counts ``base`` records for the classes in between, so each site gets
+    the hint a whole build would give it."""
     builder = _Builder(checked.table)
+    if classes is not None:
+        for cls in checked.unit.classes:
+            if cls.name in classes:
+                builder.lower_class(cls)
+            else:
+                builder.skip_class(base.hint_counts[cls.name])
+        return builder.program
     for cls in checked.unit.classes:
         builder.lower_class(cls)
     builder.synthesize_builtin_inits(checked.unit)
@@ -56,6 +74,7 @@ class _Builder:
         self.program = IRProgram(table)
         self._site_counter = 0
         self._hint_counters: dict[str, int] = {}
+        self._class_hints: dict[str, int] = {}
         self._classes_with_clinit: list[str] = []
 
     # -- allocation sites -------------------------------------------------------
@@ -69,6 +88,7 @@ class _Builder:
             stem = class_name[0].lower() + class_name[1:]
         count = self._hint_counters.get(stem, 0)
         self._hint_counters[stem] = count + 1
+        self._class_hints[stem] = self._class_hints.get(stem, 0) + 1
         site = ins.AllocSite(
             self._site_counter, class_name, method, kind, hint=f"{stem}{count}"
         )
@@ -78,7 +98,13 @@ class _Builder:
 
     # -- class lowering ------------------------------------------------------------
 
+    def skip_class(self, hints: dict[str, int]) -> None:
+        """Advance the hint counters past a class that is not lowered."""
+        for stem, count in hints.items():
+            self._hint_counters[stem] = self._hint_counters.get(stem, 0) + count
+
     def lower_class(self, cls: ast.ClassDecl) -> None:
+        self._class_hints = self.program.hint_counts[cls.name] = {}
         info = self.table.get(cls.name)
         declared_ctor = info.methods.get(INIT)
         self.program.add_method(self._lower_constructor(cls, declared_ctor))

@@ -50,6 +50,9 @@ class IRProgram:
         self.methods: dict[str, IRMethod] = {}
         self.entry: Optional[str] = None
         self.alloc_sites: list[AllocSite] = []
+        #: Per class: how many allocation hints of each stem its lowering
+        #: took (see :func:`repro.ir.builder.build_program`).
+        self.hint_counts: dict[str, dict[str, int]] = {}
         # Label maps, filled by assign_labels().
         self.commands: dict[int, Command] = {}
         self.statements: dict[int, Stmt] = {}

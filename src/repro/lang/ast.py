@@ -332,6 +332,8 @@ class ClassDecl:
     fields: list[FieldDecl]
     methods: list[MethodDecl]
     pos: SourcePosition
+    #: The closing brace.
+    end: SourcePosition
 
 
 @dataclass

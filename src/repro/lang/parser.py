@@ -22,10 +22,17 @@ from .lexer import Token, tokenize
 _PRIM_TYPES = {"int": ast.INT, "boolean": ast.BOOLEAN, "void": ast.VOID}
 
 
-def parse_program(source: str, first_line: int = 1) -> ast.CompilationUnit:
+def parse_program(
+    source: str, first_line: int = 1, first_column: int = 1
+) -> ast.CompilationUnit:
     """Parse a complete compilation unit (a sequence of class declarations)
-    whose text starts on line ``first_line``."""
-    return Parser(tokenize(source, first_line)).parse_unit()
+    whose text starts at line ``first_line``, column ``first_column``."""
+    tokens = tokenize(source, first_line)
+    for tok in tokens:
+        if tok.pos.line != first_line:
+            break
+        tok.pos.column += first_column - 1
+    return Parser(tokens).parse_unit()
 
 
 class Parser:
@@ -93,8 +100,8 @@ class Parser:
         methods: list[ast.MethodDecl] = []
         while not self._peek().is_op("}"):
             self._parse_member(name, fields, methods)
-        self._expect_op("}")
-        return ast.ClassDecl(name, superclass, fields, methods, start.pos)
+        end = self._expect_op("}")
+        return ast.ClassDecl(name, superclass, fields, methods, start.pos, end.pos)
 
     def _parse_modifiers(self) -> tuple[bool, bool]:
         is_static = False

@@ -145,7 +145,9 @@ class CheckedProgram:
 
 
 def check_program(
-    unit: ast.CompilationUnit, base: Optional[CheckedProgram] = None
+    unit: ast.CompilationUnit,
+    base: Optional[CheckedProgram] = None,
+    replace: bool = False,
 ) -> CheckedProgram:
     """Type-check ``unit`` in place and return the checked program.
 
@@ -153,7 +155,15 @@ def check_program(
     ``unit``'s, with one class table over all of them; only ``unit``'s
     classes are checked, and the base's AST is not touched (the base was
     checked without the classes that follow it, so they cannot change
-    how it resolves)."""
+    how it resolves).
+
+    With ``replace`` as well, each of ``unit``'s classes instead takes
+    the place of the base class of the same name, and the class table is
+    the base's with those classes' entries rebuilt. Only ``unit``'s
+    classes are checked: the caller vouches that the other classes still
+    check, which holds when the replaced declarations are unchanged."""
+    if base is not None and replace:
+        return _check_replacing(unit, base)
     if base is not None:
         unit = ast.CompilationUnit(base.unit.classes + unit.classes)
     table = _build_class_table(unit)
@@ -164,48 +174,78 @@ def check_program(
     return CheckedProgram(table, unit)
 
 
+def _check_replacing(
+    unit: ast.CompilationUnit, base: CheckedProgram
+) -> CheckedProgram:
+    classes = list(base.unit.classes)
+    index = {cls.name: i for i, cls in enumerate(classes)}
+    table = ClassTable()
+    table.classes.update(base.table.classes)
+    for cls in unit.classes:
+        if cls.name not in index:
+            raise TypeCheckError(f"no class {cls.name!r} to replace", cls.pos)
+        if table.classes[cls.name] is not base.table.classes[cls.name]:
+            raise TypeCheckError(f"duplicate class {cls.name!r}", cls.pos)
+        classes[index[cls.name]] = cls
+        table.classes[cls.name] = _class_info(cls)
+    for cls in unit.classes:
+        _declare_members(table, cls)
+        list(table.ancestors(cls.name))
+    checker = _Checker(table)
+    for cls in unit.classes:
+        checker.check_class(cls)
+    return CheckedProgram(table, ast.CompilationUnit(classes))
+
+
+def _class_info(cls: ast.ClassDecl) -> ClassInfo:
+    return ClassInfo(cls.name, cls.superclass or "Object", pos=cls.pos)
+
+
 def _build_class_table(unit: ast.CompilationUnit) -> ClassTable:
     table = ClassTable()
     for cls in unit.classes:
         if cls.name in table.classes:
             raise TypeCheckError(f"duplicate class {cls.name!r}", cls.pos)
-        superclass = cls.superclass or "Object"
-        table.classes[cls.name] = ClassInfo(cls.name, superclass, pos=cls.pos)
+        table.classes[cls.name] = _class_info(cls)
     for cls in unit.classes:
-        info = table.classes[cls.name]
-        if info.superclass not in table.classes:
-            raise TypeCheckError(
-                f"class {cls.name!r} extends unknown class {info.superclass!r}", cls.pos
-            )
-        for fld in cls.fields:
-            if fld.name in info.fields:
-                raise TypeCheckError(
-                    f"duplicate field {fld.name!r} in class {cls.name!r}", fld.pos
-                )
-            info.fields[fld.name] = FieldInfo(
-                fld.name, fld.decl_type, fld.is_static, fld.is_final, cls.name, fld.init, fld.pos
-            )
-        for mth in cls.methods:
-            if mth.name in info.methods:
-                raise TypeCheckError(
-                    f"duplicate method {mth.name!r} in class {cls.name!r}"
-                    " (overloading is not supported)",
-                    mth.pos,
-                )
-            info.methods[mth.name] = MethodInfo(
-                mth.name,
-                mth.params,
-                mth.ret_type,
-                mth.is_static,
-                mth.is_constructor,
-                cls.name,
-                mth.body,
-                mth.pos,
-            )
+        _declare_members(table, cls)
     # Detect inheritance cycles eagerly.
     for name in table.classes:
         list(table.ancestors(name))
     return table
+
+
+def _declare_members(table: ClassTable, cls: ast.ClassDecl) -> None:
+    info = table.classes[cls.name]
+    if info.superclass not in table.classes:
+        raise TypeCheckError(
+            f"class {cls.name!r} extends unknown class {info.superclass!r}", cls.pos
+        )
+    for fld in cls.fields:
+        if fld.name in info.fields:
+            raise TypeCheckError(
+                f"duplicate field {fld.name!r} in class {cls.name!r}", fld.pos
+            )
+        info.fields[fld.name] = FieldInfo(
+            fld.name, fld.decl_type, fld.is_static, fld.is_final, cls.name, fld.init, fld.pos
+        )
+    for mth in cls.methods:
+        if mth.name in info.methods:
+            raise TypeCheckError(
+                f"duplicate method {mth.name!r} in class {cls.name!r}"
+                " (overloading is not supported)",
+                mth.pos,
+            )
+        info.methods[mth.name] = MethodInfo(
+            mth.name,
+            mth.params,
+            mth.ret_type,
+            mth.is_static,
+            mth.is_constructor,
+            cls.name,
+            mth.body,
+            mth.pos,
+        )
 
 
 class _Scope:

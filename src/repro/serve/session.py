@@ -16,8 +16,10 @@ later request can reuse:
   memo), which survive updates untouched because their keys are
   content-addressed, not program-addressed.
 
-On ``update`` the session diffs the edited source against the loaded
-program at *method* granularity. An additive edit (old pointer facts all
+On ``update`` the session re-checks and re-lowers only the classes whose
+text changed (the whole text when the class layout or a declaration
+changed), then diffs the result against the loaded program at *method*
+granularity. An additive edit (old pointer facts all
 preserved) is grafted into the retained program and fed through the
 Andersen delta worklist (:func:`repro.pointsto.reanalyze`); only verdicts
 whose footprint intersects the change — per
@@ -32,6 +34,7 @@ updates serialized and exclusive (:class:`_RWLock`).
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from contextlib import contextmanager
@@ -48,12 +51,14 @@ from ..api import (
 from ..engine import RefutationDriver
 from ..engine.driver import Job
 from ..ir import build_program
+from ..lang import FrontendError, frontend
 from .. import perf
 from ..obs import metrics, provenance, telemetry
 from ..pointsto import analyze as pointsto_analyze
 from ..pointsto import reanalyze
 from ..symbolic import SearchConfig
 from .invalidation import (
+    class_declaration,
     footprint_signatures,
     graft_method,
     is_additive,
@@ -165,6 +170,12 @@ class ProgramSession:
     ) -> None:
         self._source = source
         self._include_library = include_library
+        #: The line the app text starts on in the checked program.
+        self._first_line = 1
+        if include_library:
+            from ..android.library import checked_library
+
+            self._first_line = checked_library().last_line + 1
         base = config or SearchConfig()
         if budget is not None:
             base = base.copy(path_budget=budget)
@@ -194,7 +205,8 @@ class ProgramSession:
         """Cold path: build everything from scratch and start a fresh
         driver. Callers have already cleared (or decided to keep) the
         verdict and fact tables."""
-        program = build_program(check_source(source, self._include_library))
+        self._checked = check_source(source, self._include_library)
+        program = build_program(self._checked)
         self._program = program
         self._pta = pointsto_analyze(
             program, policy=self._policy, retain_solver=True
@@ -287,38 +299,97 @@ class ProgramSession:
         with self._rw.write():
             if classes is not None:
                 source = splice_classes(self._source, classes)
-            new_program = build_program(check_source(source, self._include_library))
-            new_prints = method_fingerprints(new_program)
-            if program_signature(new_program) != program_signature(
-                self._program
-            ):
-                return self._full_update(source, started, reason="declarations")
-            changed = sorted(
-                qname
-                for qname, print_ in new_prints.items()
-                if self._fingerprints.get(qname) != print_
+            return self._class_update(source, started) or self._text_update(
+                source, started
             )
-            if not changed:
-                self._source = source
-                return (
-                    {"mode": "noop", "changed_methods": []},
-                    {"seconds": time.perf_counter() - started,
-                     "invalidated_edges": 0,
-                     "retained_verdicts": len(self._verdicts)},
-                )
-            additive = all(
-                is_additive(
-                    self._program.methods[qname], new_program.methods[qname]
-                )
-                for qname in changed
+
+    def _class_update(self, source: str, started: float) -> Optional[tuple]:
+        """Re-check and re-lower only the classes whose text changed,
+        against the retained class table. Returns None, having changed
+        nothing, when the edit needs the whole-text path: the class names
+        or order, the text between classes, or a declaration changed, or
+        the edited text does not lex, parse, check or lower."""
+        edited = edited_classes(self._source, source)
+        if edited is None:
+            return None
+        checked = self._checked
+        try:
+            for _, start, end in edited:
+                line = source.count("\n", 0, start) + self._first_line
+                column = start - source.rfind("\n", 0, start)
+                checked = frontend(source[start:end], checked, at=(line, column))
+        except FrontendError:
+            return None
+        replaced = [
+            (old, new)
+            for old, new in zip(self._checked.unit.classes, checked.unit.classes)
+            if old is not new
+        ]
+        names = sorted(new.name for _, new in replaced)
+        if names != sorted(name for name, _, _ in edited) or any(
+            class_declaration(old) != class_declaration(new)
+            for old, new in replaced
+        ):
+            return None
+        try:
+            new_program = build_program(checked, classes=names, base=self._program)
+        except FrontendError:
+            return None
+        payload, meta = self._apply_update(
+            source, checked, new_program, method_fingerprints(new_program), started
+        )
+        meta["rechecked_classes"] = None if payload["mode"] == "rebuild" else names
+        return payload, meta
+
+    def _text_update(self, source: str, started: float) -> tuple[dict, dict]:
+        """The whole-text path: check and lower the whole new source, then
+        diff it against the loaded program."""
+        checked = check_source(source, self._include_library)
+        new_program = build_program(checked)
+        new_prints = method_fingerprints(new_program)
+        if program_signature(new_program) != program_signature(self._program):
+            payload, meta = self._full_update(source, started, reason="declarations")
+        else:
+            payload, meta = self._apply_update(
+                source, checked, new_program, new_prints, started
             )
-            if not additive:
-                return self._full_update(
-                    source, started, reason="non-additive edit"
-                )
-            return self._incremental_update(
-                source, new_program, changed, started
+        meta["rechecked_classes"] = None
+        return payload, meta
+
+    def _apply_update(
+        self,
+        source: str,
+        checked,
+        new_program,
+        new_prints: dict,
+        started: float,
+    ) -> tuple[dict, dict]:
+        """Diff the rebuilt methods against the loaded ones and take the
+        noop, incremental or rebuild path. ``new_program`` holds every
+        method that may have changed (all of them on the whole-text path)."""
+        changed = sorted(
+            qname
+            for qname, print_ in new_prints.items()
+            if self._fingerprints.get(qname) != print_
+        )
+        if not changed:
+            self._source = source
+            self._checked = checked
+            return (
+                {"mode": "noop", "changed_methods": []},
+                {"seconds": time.perf_counter() - started,
+                 "invalidated_edges": 0,
+                 "retained_verdicts": len(self._verdicts)},
             )
+        additive = all(
+            is_additive(self._program.methods[qname], new_program.methods[qname])
+            for qname in changed
+        )
+        if not additive:
+            return self._full_update(source, started, reason="non-additive edit")
+        return self._incremental_update(
+            source, checked, new_program, new_prints, changed, started
+        )
 
     def _full_update(
         self, source: str, started: float, reason: str
@@ -342,7 +413,13 @@ class ProgramSession:
         )
 
     def _incremental_update(
-        self, source: str, new_program, changed: list, started: float
+        self,
+        source: str,
+        checked,
+        new_program,
+        new_prints: dict,
+        changed: list,
+        started: float,
     ) -> tuple[dict, dict]:
         changed_set = frozenset(changed)
         # Signatures and producer lists must be captured *before* the
@@ -359,6 +436,7 @@ class ProgramSession:
             key: sorted(self._pta.producers.get(key, []))
             for key in self._verdicts
         }
+        retired_sites = stable_site_tokens(self._program, changed)
         for qname in changed:
             graft_method(self._program, new_program.methods[qname])
         self._pta, delta = reanalyze(self._pta, set(changed))
@@ -399,8 +477,14 @@ class ProgramSession:
         self._verdicts = surviving
         self._driver = self._new_driver()
         self._driver.seed_results(surviving)
-        self._fingerprints = method_fingerprints(self._program)
-        self._site_tokens = stable_site_tokens(self._program)
+        # Only the grafted methods' fingerprints, hint counts and site
+        # tokens moved; everything else is as it was.
+        self._fingerprints.update(new_prints)
+        self._program.hint_counts.update(new_program.hint_counts)
+        for site in retired_sites:
+            del self._site_tokens[site]
+        self._site_tokens.update(stable_site_tokens(self._program, changed))
+        self._checked = checked
         self._source = source
         self._updates_applied += 1
         return (
@@ -552,44 +636,77 @@ class ProgramSession:
 
 
 # ---------------------------------------------------------------------------
-# Per-class source splicing (the `classes` update flavor)
+# Per-class source layout (the `classes` update flavor and class-level diffs)
 # ---------------------------------------------------------------------------
+
+#: One step of a scan for the lexemes that decide where a top-level class
+#: starts and ends: skip to the next character that may start one, then
+#: take a brace, a comment or a string or char literal (skipped whole, so
+#: braces inside them do not count), the ``class`` keyword with the name
+#: after it, or else that one character.
+_LEXEME = re.compile(
+    r"[^{}/\"'c]*"
+    r"(?:(?P<brace>[{}])"
+    r"|//[^\n]*"
+    r"|/\*.*?\*/"
+    r'|"(?:\\.|[^"\\])*"'
+    r"|'(?:\\.|[^'\\\n])*'"
+    r"|(?<![\w$])(?P<keyword>class)(?![\w$])\s*(?P<name>[\w$]*)"
+    r"|.)",
+    re.S,
+)
+
+
+def class_layout(source: str) -> list[tuple[str, int, int]]:
+    """The top-level classes of mini-Java ``source`` as ``(name, start,
+    end)`` character spans, in order: from the ``class`` keyword to the
+    brace that closes the class body."""
+    spans = []
+    depth = 0
+    start = name = None
+    for match in _LEXEME.finditer(source):
+        brace = match.group("brace")
+        if brace == "{":
+            depth += 1
+        elif brace == "}":
+            if depth:
+                depth -= 1
+                if depth == 0 and start is not None:
+                    spans.append((name, start, match.end()))
+                    start = None
+        elif match.group("keyword") and depth == 0 and start is None:
+            start, name = match.start("keyword"), match.group("name")
+    if start is not None:
+        spans.append((name, start, len(source)))
+    return spans
 
 
 def split_classes(source: str) -> dict[str, str]:
-    """Split mini-Java source into its top-level class texts by brace
-    counting, keyed by class name, in order. Comments are assumed not to
-    contain unbalanced braces (true of the mini-Java corpus)."""
-    out: dict[str, str] = {}
-    i = 0
-    n = len(source)
-    while i < n:
-        start = source.find("class ", i)
-        if start < 0:
-            break
-        # Class name: the identifier after "class".
-        j = start + len("class ")
-        while j < n and source[j].isspace():
-            j += 1
-        k = j
-        while k < n and (source[k].isalnum() or source[k] == "_"):
-            k += 1
-        name = source[j:k]
-        open_brace = source.find("{", k)
-        if open_brace < 0:
-            break
-        depth = 0
-        end = open_brace
-        for end in range(open_brace, n):
-            if source[end] == "{":
-                depth += 1
-            elif source[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-        out[name] = source[start : end + 1]
-        i = end + 1
-    return out
+    """Split mini-Java source into its top-level class texts, keyed by
+    class name, in order (see :func:`class_layout`)."""
+    return {name: source[start:end] for name, start, end in class_layout(source)}
+
+
+def edited_classes(old: str, new: str) -> Optional[list[tuple[str, int, int]]]:
+    """The classes of ``new`` whose text differs from ``old``'s, as
+    :func:`class_layout` spans of ``new``. None unless the two sources
+    have the same class names in the same order and the same text between
+    and around the classes."""
+    old_spans, new_spans = class_layout(old), class_layout(new)
+    if [span[0] for span in old_spans] != [span[0] for span in new_spans]:
+        return None
+    edited = []
+    old_end = new_end = 0
+    for (_, old_start, old_stop), span in zip(old_spans, new_spans):
+        _, new_start, new_stop = span
+        if old[old_end:old_start] != new[new_end:new_start]:
+            return None
+        if old[old_start:old_stop] != new[new_start:new_stop]:
+            edited.append(span)
+        old_end, new_end = old_stop, new_stop
+    if old[old_end:] != new[new_end:]:
+        return None
+    return edited
 
 
 def splice_classes(source: str, replacements: dict[str, str]) -> str:
@@ -597,13 +714,18 @@ def splice_classes(source: str, replacements: dict[str, str]) -> str:
     in ``replacements`` must already exist (adding or removing classes is
     a declaration-level change — ship full ``source`` for that, and the
     session takes the rebuild path)."""
-    classes = split_classes(source)
-    missing = sorted(set(replacements) - set(classes))
+    layout = class_layout(source)
+    missing = sorted(set(replacements) - {name for name, _, _ in layout})
     if missing:
         raise ValueError(
             f"class(es) not in the loaded program: {', '.join(missing)};"
             " to add classes, send a full source= update"
         )
-    for name, text in replacements.items():
-        source = source.replace(classes[name], text)
-    return source
+    parts = []
+    done = 0
+    for name, start, end in layout:
+        if name in replacements:
+            parts += [source[done:start], replacements[name]]
+            done = end
+    parts.append(source[done:])
+    return "".join(parts)

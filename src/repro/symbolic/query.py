@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from ..perf.memo import SOLVER_PARTITION
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, SolverContext, check_sat, ref_eq, ref_ne
 
@@ -575,8 +576,6 @@ class Query:
         if self._sat_version == self.version:
             return self._sat_result
         atoms = self.canonical_pure() + self.separation_atoms()
-        from ..perf.memo import SOLVER_PARTITION
-
         if SOLVER_PARTITION.enabled and self.solver_ctx is None:
             self.solver_ctx = SolverContext()
         ok = check_sat(

@@ -20,6 +20,7 @@ import re
 import pytest
 
 from repro.bench.workloads import lifecycle_app, lifecycle_edit
+from repro.lang import FrontendError
 from repro.serve.server import handle_request, serve_stdio
 from repro.serve.protocol import Request
 from repro.serve.session import ProgramSession
@@ -457,3 +458,204 @@ class TestSharedStore:
             assert perf_store.ACTIVE.hits > 0, "no session hit the store"
         finally:
             perf_store.deactivate()
+
+
+# ---------------------------------------------------------------------------
+# Class-level updates: parity with the whole-text path and a cold session
+# ---------------------------------------------------------------------------
+
+
+PARITY_SCREENS = 16
+
+
+def _program_dump(session) -> str:
+    """The retained program: every method with its labels, commands,
+    source positions and allocation sites, then the site list."""
+    from repro.ir.printer import print_method
+    from repro.ir.stmts import walk_commands
+
+    program = session._program
+    out = []
+    for method in program.methods.values():
+        out.append(print_method(method, show_labels=True))
+        out.extend(
+            f"[{cmd.label}] {cmd} @ {cmd.pos!r} {getattr(cmd, 'site', '')!r}"
+            for cmd in walk_commands(method.body)
+        )
+    out.extend(repr(site) for site in program.alloc_sites)
+    return "\n".join(out)
+
+
+def _add_lines(source: str) -> str:
+    """Two more lines in the middle screen's onStart: every later class
+    moves down."""
+    marker = f"/*edit-{PARITY_SCREENS // 2}*/"
+    return source.replace(
+        marker, marker + "\n        this.pad = this.pad + 2;\n       "
+    )
+
+
+def _allocate(screen: int):
+    """New allocation sites at the end of one screen's onStop: their hints
+    number on from the sites of every class before it, as in a whole
+    build. (At the end, so no builder temporary of the old body moves.)"""
+
+    def edit(source: str) -> str:
+        from repro.serve.session import splice_classes, split_classes
+
+        name = f"Screen{screen}"
+        text = split_classes(source)[name].replace(
+            "this.pad = 0; }",
+            'this.pad = 0; Item spare = new Item(); String tag = "t"; }',
+        )
+        return splice_classes(source, {name: text})
+
+    return edit
+
+
+def _give_static_initializer(source: str) -> str:
+    return source.replace("static Item hold;", "static Item hold = null;")
+
+
+def _declare_field(source: str) -> str:
+    return re.sub(r"(class Screen5[^{]*\{)", r"\1\n    int extra;", source)
+
+
+def _type_error(source: str) -> str:
+    return source.replace("/*edit-3*/", "this.pad = true; /*edit-3*/")
+
+
+def _parse_error(source: str) -> str:
+    return source.replace("/*edit-4*/", "this.pad = ; /*edit-4*/")
+
+
+def _lex_error(source: str) -> str:
+    return source.replace("/*edit-6*/", "this.pad = 1 # 2; /*edit-6*/")
+
+
+def _splice_screen(source: str):
+    from repro.serve.session import split_classes
+
+    text = split_classes(source)["Screen9"]
+    edited = text.replace("this.pad = 0;", "this.pad = 0; this.pad = 1;")
+    return {"classes": {"Screen9": edited}}
+
+
+def _parity_steps():
+    """(name, edit, expected mode, expected rechecked_classes), applied in
+    order; an edit whose mode is "error" must raise, and leaves the source
+    as it was."""
+    steps = [
+        (f"lifecycle_edit {i}", lambda s, i=i: lifecycle_edit(s, screen=i),
+         "incremental", [f"Screen{i}"])
+        for i in range(PARITY_SCREENS)
+    ]
+    steps += [
+        ("add lines in a middle class", _add_lines,
+         "incremental", [f"Screen{PARITY_SCREENS // 2}"]),
+        ("edit after the moved lines", lambda s: lifecycle_edit(s, screen=12),
+         "incremental", ["Screen12"]),
+        ("new sites in an early class", _allocate(2),
+         "incremental", ["Screen2"]),
+        ("new sites in a later class", _allocate(10),
+         "incremental", ["Screen10"]),
+        ("give a static field an initializer", _give_static_initializer,
+         "rebuild", None),
+        ("declaration change", _declare_field, "rebuild", None),
+        ("type error", _type_error, "error", None),
+        ("parse error", _parse_error, "error", None),
+        ("lex error", _lex_error, "error", None),
+        ("classes= splice", _splice_screen, "incremental", ["Screen9"]),
+        ("same text again", lambda s: s, "noop", []),
+    ]
+    return steps
+
+
+def _as_library_app(source: str) -> str:
+    return re.sub(
+        r"class (Screen\d+) \{",
+        r"class \1 extends Activity {",
+        source[: source.index("class M {")],
+    )
+
+
+class TestClassLevelUpdates:
+    """``update`` re-checks only the edited classes. After every step of
+    an edit sequence the session must agree with one forced onto the
+    whole-text path (mode, changed methods, invalidation counts, the
+    retained program down to labels, positions and site hints) and with a
+    cold session (verdict payloads, byte for byte)."""
+
+    @pytest.mark.parametrize("include_library", [False, True],
+                             ids=["no-library", "library"])
+    def test_parity_with_the_whole_text_path(self, include_library, monkeypatch):
+        import repro.serve.session as session_module
+
+        source = lifecycle_app(PARITY_SCREENS, leaky=1)
+        if include_library:
+            source = _as_library_app(source)
+        fast = ProgramSession(source, include_library=include_library)
+        slow = ProgramSession(source, include_library=include_library)
+        monkeypatch.setattr(slow, "_class_update", lambda source, started: None)
+        parsed = []
+        frontend = session_module.frontend
+
+        def counting_frontend(text, *args, **kwargs):
+            parsed.append(text)
+            return frontend(text, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "frontend", counting_frontend)
+        try:
+            fast.analyze(REACH_PARAMS)
+            slow.analyze(REACH_PARAMS)
+            for name, edit, mode, expected in _parity_steps():
+                edited = edit(source)
+                params = edited if isinstance(edited, dict) else {"source": edited}
+                parsed.clear()
+                if mode == "error":
+                    with pytest.raises(FrontendError) as fast_err:
+                        fast.update(params)
+                    with pytest.raises(FrontendError) as slow_err:
+                        slow.update(params)
+                    with pytest.raises(FrontendError) as cold_err:
+                        ProgramSession(
+                            params["source"], include_library=include_library
+                        )
+                    for err in (slow_err.value, cold_err.value):
+                        assert type(fast_err.value) is type(err), name
+                        assert str(fast_err.value) == str(err), name
+                        assert fast_err.value.pos == err.pos, name
+                    continue
+                fast_result, fast_meta = fast.update(params)
+                slow_result, slow_meta = slow.update(params)
+                source = fast._source
+                assert slow._source == source, name
+                assert fast_meta.pop("rechecked_classes") == expected, name
+                assert slow_meta.pop("rechecked_classes") is None, name
+                fast_meta.pop("seconds"), slow_meta.pop("seconds")
+                assert fast_result["mode"] == mode, name
+                assert fast_result == slow_result, name
+                assert fast_meta == slow_meta, name
+                if expected is not None:
+                    # Only the edited classes went through the frontend.
+                    assert len(parsed) == len(expected), name
+                    assert all(
+                        text.startswith(f"class {cls}")
+                        for text, cls in zip(parsed, expected)
+                    ), name
+                assert _program_dump(fast) == _program_dump(slow), name
+                fast_out, _ = fast.analyze(REACH_PARAMS)
+                slow_out, _ = slow.analyze(REACH_PARAMS)
+                cold = ProgramSession(source, include_library=include_library)
+                try:
+                    cold_out, _ = cold.analyze(REACH_PARAMS)
+                finally:
+                    cold.close()
+                payloads = [
+                    json.dumps(out["verdicts"], sort_keys=True)
+                    for out in (fast_out, slow_out, cold_out)
+                ]
+                assert payloads[0] == payloads[1] == payloads[2], name
+        finally:
+            fast.close()
+            slow.close()

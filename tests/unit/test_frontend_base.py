@@ -246,3 +246,84 @@ class TestMalformedApps:
         assert error_of(lambda: check_app(MALFORMED["parse"]))[0] is ParseError
         kind, message, _ = error_of(lambda: check_app(MALFORMED["harness name"]))
         assert kind is TypeCheckError and HARNESS_CLASS in message
+
+
+class TestReplaceClass:
+    """``frontend(text, base, at=...)`` re-checks one class in place and
+    ``build_program(..., classes=...)`` lowers only it; both must agree
+    with a check and lowering of the whole edited text."""
+
+    SOURCE = (
+        "class Item { }\n"
+        "class A {\n"
+        "    Item make() { Item o = new Item(); return o; }\n"
+        "}\n"
+        "class B { Item keep; void go() { keep = new Item(); } }\n"
+        "  class C { static void main() { B b = new B(); b.go(); } }\n"
+    )
+
+    def _replace(self, base, source, name):
+        from repro.serve.session import class_layout
+
+        ((start, end),) = [(s, e) for n, s, e in class_layout(source) if n == name]
+        line = source.count("\n", 0, start) + 1
+        column = start - source.rfind("\n", 0, start)
+        return frontend(source[start:end], base, at=(line, column))
+
+    def test_replacement_matches_the_whole_text(self):
+        base = frontend(self.SOURCE)
+        edited = self.SOURCE.replace(
+            "keep = new Item();", 'keep = new Item(); String s = "x";'
+        ).replace("b.go();", "b.go(); b.go();")
+        checked = self._replace(base, edited, "B")
+        checked = self._replace(checked, edited, "C")
+        assert ir_dump(checked) == ir_dump(frontend(edited))
+        assert checked.last_line == base.last_line
+
+    def test_base_is_left_alone(self):
+        base = frontend(self.SOURCE)
+        classes = list(base.unit.classes)
+        info = base.table.get("B")
+        before = pretty_program(base.unit)
+        edited = self.SOURCE.replace("keep = new Item();", "keep = null;")
+        checked = self._replace(base, edited, "B")
+        assert base.unit.classes == classes and base.table.get("B") is info
+        assert pretty_program(base.unit) == before
+        assert checked.unit.classes[0] is classes[0]
+        assert checked.unit.classes[2] is not classes[2]
+
+    def test_line_count_changes_move_last_line(self):
+        base = frontend(self.SOURCE)
+        edited = self.SOURCE.replace(
+            "return o; }\n", "return o;\n    }\n\n"
+        )
+        checked = self._replace(base, edited, "A")
+        assert checked.last_line == base.last_line + 2
+        method = checked.table.get("A").methods["make"]
+        assert method.pos == frontend(edited).table.get("A").methods["make"].pos
+
+    def test_errors(self):
+        base = frontend(self.SOURCE)
+        with pytest.raises(TypeCheckError, match="no class 'D' to replace"):
+            frontend("class D { }", base, at=(1, 1))
+        with pytest.raises(TypeCheckError, match="cannot assign"):
+            frontend("class B { Item keep; void go() { keep = 1; } }", base, at=(5, 1))
+
+    def test_lowering_given_classes_continues_hints(self):
+        edited = self.SOURCE.replace(
+            "keep = new Item();", "keep = new Item(); Item more = new Item();"
+        )
+        whole = build_program(frontend(edited))
+        base = build_program(frontend(self.SOURCE))
+        partial = build_program(
+            self._replace(frontend(self.SOURCE), edited, "B"),
+            classes=["B"],
+            base=base,
+        )
+        assert sorted(partial.methods) == ["B.<init>", "B.go"]
+        assert partial.entry is None and not partial.commands
+        for qname, method in partial.methods.items():
+            assert print_method(method) == print_method(whole.methods[qname])
+        hints = [site.hint for site in partial.alloc_sites]
+        assert hints == ["item1", "item2"]
+        assert partial.hint_counts == {"B": {"item": 2}}

@@ -32,7 +32,12 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.session import split_classes, splice_classes
+from repro.serve.session import (
+    ProgramSession,
+    edited_classes,
+    split_classes,
+    splice_classes,
+)
 
 BASE_SRC = """
 class Item { }
@@ -384,3 +389,61 @@ class TestSplicing:
     def test_splice_unknown_class_raises(self):
         with pytest.raises(ValueError, match="Nope.*full source= update"):
             splice_classes(BASE_SRC, {"Nope": "class Nope { }"})
+
+    def test_split_skips_comments_and_literals(self):
+        source = (
+            'class A { String s = "}{ class X {"; /* } class Y { */ }\n'
+            "// class C { }\n"
+            "class B { int subclass; int classes; char c = '}'; }\n"
+        )
+        classes = split_classes(source)
+        assert list(classes) == ["A", "B"]
+        assert classes["A"].endswith("*/ }")
+        assert classes["B"].endswith("'}'; }")
+
+    def test_update_splices_past_a_brace_in_a_comment(self):
+        source = (
+            "class Item { }\n"
+            "class Main {\n"
+            "    static void main() {\n"
+            "        int subclass = 1; // close } early\n"
+            "        Item o = new Item();\n"
+            "    }\n"
+            "}\n"
+        )
+        main = source[source.index("class Main") :].rstrip()
+        assert split_classes(source)["Main"] == main
+        session = ProgramSession(source)
+        try:
+            edited = main.replace(
+                "new Item();", "new Item(); subclass = subclass + 1;"
+            )
+            result, meta = session.update({"classes": {"Main": edited}})
+        finally:
+            session.close()
+        assert result["mode"] == "incremental"
+        assert result["changed_methods"] == ["Main.main"]
+        assert meta["rechecked_classes"] == ["Main"]
+
+
+class TestEditedClasses:
+    def test_reports_only_the_changed_class(self):
+        edited = BASE_SRC.replace("this.pad + 1", "this.pad + 2")
+        spans = edited_classes(BASE_SRC, edited)
+        assert [name for name, _, _ in spans] == ["A"]
+        _, start, end = spans[0]
+        assert edited[start:end] == split_classes(edited)["A"]
+        assert edited_classes(BASE_SRC, BASE_SRC) == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s.replace("class M {", "// a comment\nclass M {"),
+            lambda s: s + "\nclass Extra { }\n",
+            lambda s: s.replace("class Item { }\n", "") + "class Item { }\n",
+            lambda s: s.replace("class A {", "class B {"),
+        ],
+        ids=["text-between", "added-class", "reordered", "renamed"],
+    )
+    def test_layout_changes_need_the_whole_text(self, edit):
+        assert edited_classes(BASE_SRC, edit(BASE_SRC)) is None
