@@ -124,7 +124,6 @@ class LeakChecker:
         target_class: str = "Activity",
         jobs: int = 1,
         deadline: Optional[float] = None,
-        backend: Optional[str] = None,
         driver: Optional[RefutationDriver] = None,
         on_event: Optional[Callable[[object], None]] = None,
     ) -> None:
@@ -146,7 +145,6 @@ class LeakChecker:
             config or SearchConfig(),
             jobs=jobs,
             deadline=deadline,
-            backend=backend,
             on_event=on_event,
         )
         self.config = self.driver.config
@@ -222,7 +220,6 @@ def check_app(
     config: Optional[SearchConfig] = None,
     jobs: int = 1,
     deadline: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> LeakReport:
     """Convenience one-shot entry point."""
     return LeakChecker(
@@ -232,5 +229,4 @@ def check_app(
         config,
         jobs=jobs,
         deadline=deadline,
-        backend=backend,
     ).run()

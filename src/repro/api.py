@@ -78,7 +78,6 @@ _WIRE_FIELDS = (
     "memoize",
     "subsumption",
     "partition",
-    "backend",
     "journal",
     "schedule",
     "portfolio",
@@ -123,8 +122,6 @@ class AnalysisRequest:
     memoize: Optional[bool] = None
     subsumption: Optional[bool] = None
     partition: Optional[bool] = None
-    #: Worker pool flavor for ``jobs > 1``: "thread" (default) or "process".
-    backend: Optional[str] = None
     #: Record a per-query search journal for the run and attach it to the
     #: result (``result.journal``, ``result.certificate(desc)``). If a
     #: journal is already installed process-wide it is reused.
@@ -185,12 +182,24 @@ class AnalysisRequest:
                 f"unsupported schema_version {version!r}: this build speaks"
                 f" version {SCHEMA_VERSION}"
             )
-        # Retired field: every v1 dict written before its removal carries
-        # ``"steal": false``, which is accepted and dropped.
+        # Retired fields: v1 dicts written before their removal carry
+        # ``"steal": false`` and ``"backend": null`` (or ``"thread"``),
+        # which are accepted and dropped.
         if data.pop("steal", False):
             raise ValueError(
                 "steal=true is no longer supported: path-level work stealing"
                 " was removed; drop the field (parallelism comes from --jobs)"
+            )
+        backend = data.pop("backend", None)
+        if backend == "process":
+            raise ValueError(
+                "backend='process' is no longer supported: the process"
+                " backend was removed; drop the field (--jobs N runs on"
+                " threads)"
+            )
+        if backend not in (None, "thread"):
+            raise ValueError(
+                f"unknown backend {backend!r}; the field is retired, drop it"
             )
         unknown = sorted(set(data) - set(_WIRE_FIELDS))
         if unknown:
@@ -206,7 +215,15 @@ class AnalysisRequest:
 def validate_selectors(request: AnalysisRequest) -> None:
     """Check the request's selector fields against the per-client table
     *before* any pipeline work: a selector the client would ignore raises,
-    and missing required selectors raise with the field names spelled out."""
+    and missing required selectors raise with the field names spelled out.
+    Every selector is a name, so one that is not a string raises too."""
+    for name in _SELECTOR_FIELDS:
+        value = getattr(request, name)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(
+                f"selector {name}= must be a string, got"
+                f" {type(value).__name__} {value!r}"
+            )
     allowed = SELECTORS[request.client]
     given = {
         name
@@ -339,7 +356,6 @@ def analyze(request: Optional[AnalysisRequest] = None, /, **kwargs) -> AnalysisR
         config,
         jobs=request.jobs,
         deadline=request.deadline,
-        backend=request.backend,
         on_event=request.on_event,
     )
     try:

@@ -23,8 +23,9 @@ The refutation subcommands (``check``, ``witness``, ``casts``, ``bench``)
 share the parallel-driver flags:
 
 ``--jobs N``
-    Refute independent edges on N workers (default 1: the deterministic
-    serial mode that reproduces the paper's tables bit-identically).
+    Refute independent edges on N worker threads (default 1: the
+    deterministic serial mode that reproduces the paper's tables
+    bit-identically).
 ``--deadline S``
     Per-edge wall-clock deadline in seconds; an edge that exceeds it is
     reported TIMEOUT (not refuted), like the paper's per-edge timeout.
@@ -38,10 +39,6 @@ share the parallel-driver flags:
     subsumption, or relevance-partitioned incremental solving
     (restoring the monolithic decision-procedure path), respectively
     (see ``docs/performance.md``).
-``--backend {thread,process}``
-    Worker pool flavor for ``--jobs N > 1`` (default thread). The process
-    backend ships per-worker metrics/span/journal payloads back to the
-    parent and merges them.
 ``--journal FILE``
     Record a per-query search journal (every state spawned/killed/
     witnessed, with typed kill reasons) and write it as JSONL; feed it to
@@ -156,12 +153,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
             "disable relevance-partitioned incremental solving and use the"
             " monolithic decision procedure (ablation)"
         ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default=None,
-        help="worker pool flavor for --jobs N (default: thread)",
     )
     parser.add_argument(
         "--journal",
@@ -479,7 +470,6 @@ def _cmd_check(args) -> int:
         config=_search_config(args, path_budget=args.budget),
         jobs=args.jobs,
         deadline=args.deadline,
-        backend=args.backend,
         on_event=_on_event(args),
     )
     report = checker.run()
@@ -580,7 +570,6 @@ def _cmd_witness(args) -> int:
         config=_search_config(args, path_budget=args.budget),
         jobs=args.jobs,
         deadline=args.deadline,
-        backend=args.backend,
         on_event=_on_event(args),
     )
     root = StaticFieldNode(class_name, field_name)
@@ -618,7 +607,6 @@ def _cmd_casts(args) -> int:
         _search_config(args, path_budget=args.budget),
         jobs=args.jobs,
         deadline=args.deadline,
-        backend=args.backend,
         on_event=_on_event(args),
     )
     result = analyze_casts(pta, engine=driver)
@@ -651,7 +639,6 @@ def _cmd_serve(args) -> int:
         config=_search_config(args, path_budget=args.budget),
         jobs=args.jobs,
         deadline=args.deadline,
-        backend=args.backend,
         journal=bool(args.journal),
     )
     try:

@@ -13,7 +13,6 @@ class?* All refuted ⇒ immutability verified.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,11 +25,6 @@ from ..symbolic.stats import REFUTED, WITNESSED
 from .reachability import Refuter, _finalize, _resolve_refuter
 from .result import AnalysisResult, AnalysisStats, make_result
 
-IMMUTABLE = "immutable"
-MUTATED = "mutated"
-UNKNOWN = "unknown"
-
-
 @dataclass
 class MutationSite:
     label: int
@@ -40,29 +34,12 @@ class MutationSite:
     witness_trace: Optional[list[int]] = None
 
 
-@dataclass
-class ImmutabilityReport:
-    class_name: str
-    status: str  # immutable | mutated | unknown
-    sites: list[MutationSite]
-
-    @property
-    def verified(self) -> bool:
-        return self.status == IMMUTABLE
-
-
 def _check_immutable(
-    pta: PointsToResult,
-    class_name: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> ImmutabilityReport:
+    pta: PointsToResult, class_name: str, refuter: Refuter
+) -> list[MutationSite]:
     """Check that instances of ``class_name`` are never mutated outside
     their own constructors. Each flagged write is an independent
     fact-refutation query, fanned out over the driver's worker pool."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
     table = pta.program.class_table
     targets = frozenset(
         loc
@@ -100,41 +77,17 @@ def _check_immutable(
             for cmd, _, suspects in jobs_to_run
         ]
     sites: list[MutationSite] = []
-    overall = IMMUTABLE
     for (cmd, qname, suspects), result in zip(jobs_to_run, results):
         if result.status == REFUTED:
             status = "refuted"
         elif result.status == WITNESSED:
             status = "witnessed"
-            overall = MUTATED
         else:
             status = "timeout"
-            if overall == IMMUTABLE:
-                overall = UNKNOWN
         sites.append(
             MutationSite(cmd.label, qname, cmd, status, result.witness_trace)
         )
-    return ImmutabilityReport(class_name, overall, sites)
-
-
-def check_immutable(
-    pta: PointsToResult,
-    class_name: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> ImmutabilityReport:
-    """Deprecated: use :func:`analyze_immutability` (or
-    :func:`repro.api.analyze`) for the normalized result protocol.
-    Behavior is unchanged."""
-    warnings.warn(
-        "check_immutable() is deprecated; use"
-        " repro.clients.analyze_immutability() or repro.api.analyze()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_immutable(pta, class_name, config, engine, jobs, deadline)
+    return sites
 
 
 def analyze_immutability(
@@ -147,18 +100,18 @@ def analyze_immutability(
     deadline: Optional[float] = None,
 ) -> AnalysisResult:
     """Normalized immutability client. ``results`` are the flagged
-    :class:`MutationSite` objects (``check_immutable(...).sites``); the
-    rollup status maps ``immutable``/``mutated``/``unknown`` onto the
-    shared ``verified``/``violated``/``inconclusive`` vocabulary."""
+    :class:`MutationSite` objects; the class is ``verified`` immutable when
+    every flagged write was refuted, ``violated`` when one was witnessed,
+    and ``inconclusive`` when timeouts left it open."""
     refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    inner = _check_immutable(pta, class_name, config, refuter)
+    sites = _check_immutable(pta, class_name, refuter)
     report = _finalize(refuter, engine, "immutability")
-    stats = AnalysisStats(items=len(inner.sites))
-    for site in inner.sites:
+    stats = AnalysisStats(items=len(sites))
+    for site in sites:
         if site.status == "refuted":
             stats.verified_items += 1
         elif site.status == "witnessed":
             stats.violated_items += 1
         else:
             stats.inconclusive_items += 1
-    return make_result("immutability", inner.sites, stats, report)
+    return make_result("immutability", sites, stats, report)

@@ -8,7 +8,7 @@ This is the seam between the single-edge search engine
 """
 
 from .diff import diff_reports, render_diff
-from .driver import PROCESS, SERIAL, THREAD, RefutationDriver
+from .driver import SERIAL, THREAD, RefutationDriver
 from .events import (
     EdgeEscalated,
     EdgeFinished,
@@ -25,7 +25,6 @@ __all__ = [
     "RefutationDriver",
     "SERIAL",
     "THREAD",
-    "PROCESS",
     "EdgeEscalated",
     "EdgeFinished",
     "EdgeScheduled",

@@ -4,7 +4,7 @@
 this module tells you *where*. Two :class:`~repro.engine.report.RunReport`
 artifacts are joined on the stable job token ``(kind, description)`` —
 the same token the driver sorts records by, so the join is insensitive
-to ``--jobs``, backend, and schedule permutations — and every delta is
+to ``--jobs`` and schedule permutations — and every delta is
 attributed:
 
 * per-record: wall seconds, path programs, verdict flips, rung moves;

@@ -6,8 +6,7 @@ witnessed) *independently* — a refutation is a fact about the whole
 program, never about the alarm that asked. This module exploits that:
 
 * :class:`RefutationDriver` schedules refutation jobs across a
-  ``concurrent.futures`` worker pool (``--jobs N``), thread- or
-  process-backed;
+  ``concurrent.futures`` thread pool (``--jobs N``);
 * a per-edge **wall-clock deadline** (``--deadline S``) is enforced by the
   cooperative cancellation checks inside
   :class:`repro.symbolic.executor.Engine` (deadline exceeded ⇒ the edge is
@@ -36,22 +35,15 @@ into a shared cache so no edge is ever refuted twice.
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 import time
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .. import perf
-from ..obs import metrics, provenance, telemetry, trace
+from ..obs import metrics, telemetry, trace
 from ..perf import store as perf_store
 from ..perf.cache import RefutedStateCache
 from ..pointsto import PointsToResult
@@ -78,7 +70,6 @@ _BATCH_SECONDS = metrics.histogram("driver.batch_seconds")
 
 SERIAL = "serial"
 THREAD = "thread"
-PROCESS = "process"
 
 #: A fact-refutation request: (label, bindings, description) — the
 #: arguments of :meth:`Engine.refute_fact_at` plus a display name.
@@ -90,8 +81,7 @@ class Job:
     """One refutation job of either kind. ``key`` identifies the job
     within its batch (the edge key, or the fact's request index);
     ``target`` is the :class:`HeapEdge` or the fact's ``(label,
-    bindings)``. Module-level and plain so it pickles to process
-    workers."""
+    bindings)``."""
 
     kind: str  # "edge" | "fact"
     key: object
@@ -153,15 +143,10 @@ class RefutationDriver:
         The search configuration shared by every worker engine.
     jobs:
         Worker count. ``1`` (the default) is the deterministic serial
-        mode; ``N > 1`` fans edge jobs out over ``N`` workers.
+        mode; ``N > 1`` fans edge jobs out over ``N`` worker threads.
     deadline:
         Per-edge wall-clock deadline in seconds (overrides
         ``config.deadline_seconds`` when given).
-    backend:
-        ``"thread"`` (default for ``jobs > 1``) or ``"process"``. The
-        process backend re-builds one engine per worker process from a
-        pickled analysis; when the analysis does not pickle it falls back
-        to threads.
     on_event:
         Optional event sink (see :mod:`repro.engine.events`).
     """
@@ -172,7 +157,6 @@ class RefutationDriver:
         config: Optional[SearchConfig] = None,
         jobs: int = 1,
         deadline: Optional[float] = None,
-        backend: Optional[str] = None,
         on_event: Optional[Callable[[object], None]] = None,
     ) -> None:
         if jobs < 1:
@@ -183,13 +167,13 @@ class RefutationDriver:
         self.pta = pta
         self.config = config
         self.jobs = jobs
-        self.backend = self._resolve_backend(backend)
+        #: ``"serial"`` or ``"thread"``: what the run report and the
+        #: ``RunStarted`` event carry.
+        self.backend = SERIAL if jobs == 1 else THREAD
         self.events = EventBus([on_event] if on_event is not None else None)
-        #: The run-scoped refuted-state cache: serial and thread-pool
-        #: engines share one lock-striped store, so a dead end proven by
-        #: any job prunes every other job's search. Process workers keep
-        #: per-worker stores; their hit/miss tallies are merged into the
-        #: run report instead (see :meth:`build_report`).
+        #: The run-scoped refuted-state cache: every engine shares one
+        #: lock-striped store, so a dead end proven by any job prunes
+        #: every other job's search.
         self.refuted_states: Optional[RefutedStateCache] = (
             RefutedStateCache() if config.state_subsumption else None
         )
@@ -201,28 +185,18 @@ class RefutationDriver:
         #: Persistent-store binding for the refuted-state cache: seed the
         #: dead ends earlier runs proved over this exact program
         #: fingerprint, and write-through everything this run proves.
-        self._refuted_scope: Optional[str] = None
         if self.refuted_states is not None and perf_store.ACTIVE is not None:
             scope = perf_store.refuted_scope(pta, config)
             if scope is not None:
-                self._refuted_scope = scope
                 self.refuted_states.bind_store(perf_store.ACTIVE, scope)
-        #: Latest refuted-state tallies per process worker (cumulative,
-        #: latest wins); folded into :attr:`refuted_states` at close.
-        self._worker_refuted: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._records: dict = {}  # job key -> EdgeRecord, insertion-ordered
         #: Driver-lifetime count of jobs answered from the shared result
         #: cache (seeded or earlier-run verdicts). The serve session diffs
         #: this across a request to report ``verdicts_reused``.
         self.cache_hits = 0
-        self._worker_snapshots: dict[str, dict] = {}
-        #: Latest full metrics-registry snapshot per process worker
-        #: (cumulative, latest wins); merged into the parent registry
-        #: exactly once, at :meth:`close`.
-        self._worker_metrics: dict[str, dict] = {}
         self._wall_seconds = 0.0
-        self._pool: Optional[_FuturesExecutor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._tls = threading.local()
         self._worker_counter = 0
         #: Summed seconds per span name, fed by the active tracer (if any);
@@ -240,73 +214,26 @@ class RefutationDriver:
         metrics.gauge("driver.workers").set(jobs)
 
     # ------------------------------------------------------------------
-    # Backend / pool management
+    # Pool management
     # ------------------------------------------------------------------
 
-    def _resolve_backend(self, backend: Optional[str]) -> str:
-        if self.jobs == 1:
-            return SERIAL
-        if backend is None or backend == THREAD:
-            return THREAD
-        if backend == PROCESS:
-            try:
-                pickle.dumps(self.pta)
-            except Exception:
-                return THREAD
-            return PROCESS
-        raise ValueError(f"unknown backend {backend!r}")
-
-    def _get_pool(self) -> _FuturesExecutor:
+    def _get_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == PROCESS:
-                try:
-                    payload = pickle.dumps(
-                        (
-                            self.pta,
-                            self.config,
-                            trace.enabled(),
-                            provenance.enabled(),
-                        )
-                    )
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs,
-                        initializer=_process_init,
-                        initargs=(payload,),
-                    )
-                except Exception:
-                    # The analysis (or platform) does not support process
-                    # workers; degrade to threads rather than failing the run.
-                    self.backend = THREAD
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="refute",
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.jobs,
+                thread_name_prefix="refute",
+            )
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down and fold pending process-worker
-        metrics into the parent registry (idempotent)."""
+        """Shut the worker pool down and flush the persistent stores
+        (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        with self._lock:
-            worker_metrics = list(self._worker_metrics.values())
-            self._worker_metrics = {}
-            # The cache section of any later build_report must not re-add
-            # counters that the registry merge below already folded in.
-            self._worker_snapshots = {}
-            worker_refuted = list(self._worker_refuted.values())
-            self._worker_refuted = {}
-        for snap in worker_metrics:
-            metrics.REGISTRY.merge_snapshot(snap)
         if self.refuted_states is not None:
-            # Fold process workers' refuted-state tallies in (summed, so
-            # per-entry hit counts survive the pool), then hand the
-            # accumulated per-point hits to the persistent store as its
-            # cross-run LRU signal.
-            for snap in worker_refuted:
-                self.refuted_states.merge_snapshot(snap)
+            # Hand the accumulated per-point hits to the persistent store
+            # as its cross-run LRU signal.
             self.refuted_states.flush_store_tallies()
         if perf_store.ACTIVE is not None:
             perf_store.ACTIVE.flush()
@@ -401,7 +328,7 @@ class RefutationDriver:
         )
 
     def _worker_engine(self) -> tuple[Engine, str]:
-        """The calling thread's private engine (threads only)."""
+        """The calling pool thread's private engine."""
         engine = getattr(self._tls, "engine", None)
         if engine is None:
             with self._lock:
@@ -517,7 +444,7 @@ class RefutationDriver:
             ):
                 if stats is not None:
                     # Rung occupancy is mirrored into the metrics registry
-                    # so scrapes see it and process-pool workers merge.
+                    # so scrapes see it.
                     stats["scheduled"] += 1
                     metrics.counter(f"driver.rung.scheduled.{rung}").inc()
                     if result.timed_out and not final:
@@ -580,14 +507,10 @@ class RefutationDriver:
                     description=job.description, index=index, total=total
                 )
             )
-            if self.backend == PROCESS:
-                fut = pool.submit(_process_run, job, budget, deadline)
-            else:
-                fut = pool.submit(self._thread_run, job, budget, deadline)
-            futures[fut] = job
+            futures[pool.submit(self._thread_run, job, budget, deadline)] = job
         for fut in as_completed(futures):
             job = futures[fut]
-            result, worker = self._unpack(fut.result())
+            result, worker = fut.result()
             if meter is not None:
                 meter.complete(job.key)
             yield job, result, worker
@@ -738,35 +661,6 @@ class RefutationDriver:
     # Results, records, reports
     # ------------------------------------------------------------------
 
-    def _unpack(self, payload: tuple) -> tuple[EdgeResult, str]:
-        """Unpack a worker's return value. Process workers append their
-        process-cumulative cache-counter snapshot (latest snapshot per
-        worker wins — counters are cumulative, so summing per-job values
-        would double-count; merged into the run report) plus an ``obs``
-        dict: a cumulative metrics snapshot (latest wins, merged at
-        :meth:`close`), drained span records (incremental, absorbed into
-        the parent tracer now), and drained search journals (incremental,
-        absorbed into the parent run journal now)."""
-        if len(payload) == 4:
-            result, worker, snapshot, obs = payload
-            with self._lock:
-                self._worker_snapshots[worker] = snapshot
-                if "metrics" in obs:
-                    self._worker_metrics[worker] = obs["metrics"]
-                if "refuted" in obs:
-                    self._worker_refuted[worker] = obs["refuted"]
-            spans = obs.get("spans")
-            if spans and self._tracer is not None:
-                self._tracer.absorb(spans, obs["pid"], obs["wall_epoch"])
-            journals = obs.get("journals")
-            if journals:
-                book = provenance.get_journal()
-                if book is not None:
-                    book.absorb(journals)
-            return result, worker
-        result, worker = payload
-        return result, worker
-
     def _cached(self, key: EdgeKey) -> Optional[EdgeResult]:
         with self._lock:
             return self.engine._edge_cache.get(key)
@@ -855,27 +749,16 @@ class RefutationDriver:
     ) -> RunReport:
         """Snapshot the run so far as a structured :class:`RunReport`.
 
-        The ``cache`` section merges this process's cache counters with the
-        latest snapshot from each process-pool worker, and adds the shared
-        refuted-state store's size/hit statistics. Records are sorted by a
-        stable job token (kind, then description) so reports are
-        byte-stable across ``--jobs``, backend, and schedule
-        permutations."""
-        with self._lock:
-            snapshots = list(self._worker_snapshots.values())
-            worker_refuted = list(self._worker_refuted.values())
-        cache = perf.cache_report(snapshots)
-        if self.refuted_states is not None:
-            # Sum in any process-worker tallies not yet folded in at close
-            # — worker hit counts add to the parent's, they never replace
-            # them (per-entry history must survive the process pool).
-            stats = self.refuted_states.stats()
-            for snap in worker_refuted:
-                stats["hits"] += snap.get("hits", 0)
-                stats["misses"] += snap.get("misses", 0)
-            cache["refuted_store"] = stats
-        else:
-            cache["refuted_store"] = None
+        The ``cache`` section holds this process's cache counters and the
+        shared refuted-state store's size/hit statistics. Records are
+        sorted by a stable job token (kind, then description) so reports
+        are byte-stable across ``--jobs`` and schedule permutations."""
+        cache = perf.cache_report()
+        cache["refuted_store"] = (
+            self.refuted_states.stats()
+            if self.refuted_states is not None
+            else None
+        )
         cache["memoize_solver"] = self.config.memoize_solver
         cache["state_subsumption"] = self.config.state_subsumption
         cache["partition_solver"] = self.config.partition_solver
@@ -897,72 +780,3 @@ class RefutationDriver:
                 cache=cache,
                 schedule=schedule,
             )
-
-
-# ---------------------------------------------------------------------------
-# Process-backend workers (module-level so they pickle by reference)
-# ---------------------------------------------------------------------------
-
-_PROCESS_ENGINE: Optional[Engine] = None
-
-
-def _process_init(payload: bytes) -> None:
-    global _PROCESS_ENGINE
-    pta, config, trace_on, journal_on = pickle.loads(payload)
-    _PROCESS_ENGINE = Engine(pta, config)
-    # Bind the worker's private refuted-state cache to the shared on-disk
-    # store (the engine construction above attached it): the worker seeds
-    # the same proven dead ends as the parent and write-through-persists
-    # its own — sqlite's locking makes the concurrent writers safe.
-    if (
-        perf_store.ACTIVE is not None
-        and _PROCESS_ENGINE._refuted_cache is not None
-    ):
-        scope = perf_store.refuted_scope(pta, config)
-        if scope is not None:
-            _PROCESS_ENGINE._refuted_cache.bind_store(perf_store.ACTIVE, scope)
-    # A forked worker inherits the parent's registry values; zero them in
-    # place so the snapshot shipped back carries only this worker's own
-    # increments — the parent merge would otherwise re-add its own
-    # pre-fork counts once per worker.
-    metrics.REGISTRY.zero()
-    # Mirror the parent's observability setup so worker spans and search
-    # journals exist to be drained back after each job.
-    if trace_on:
-        trace.install()
-    if journal_on:
-        provenance.install()
-
-
-def _worker_obs_payload() -> dict:
-    """Everything a process worker ships back besides the job result:
-    a cumulative metrics snapshot, plus incremental drains of the span
-    buffer and the search journals when those subsystems are on."""
-    obs: dict = {
-        "metrics": metrics.REGISTRY.snapshot(),
-        "pid": os.getpid(),
-    }
-    if (
-        _PROCESS_ENGINE is not None
-        and _PROCESS_ENGINE._refuted_cache is not None
-    ):
-        # Cumulative like the metrics snapshot: the parent keeps the
-        # latest per worker and *sums* them in, never replaces.
-        obs["refuted"] = _PROCESS_ENGINE._refuted_cache.snapshot()
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        obs["spans"] = [r.to_dict() for r in tracer.drain()]
-        obs["wall_epoch"] = tracer.wall_epoch
-    book = provenance.get_journal()
-    if book is not None:
-        obs["journals"] = book.drain()
-    return obs
-
-
-def _process_run(
-    job: Job, budget: Optional[int], deadline: Optional[float]
-) -> tuple[EdgeResult, str, dict, dict]:
-    assert _PROCESS_ENGINE is not None
-    result = _execute(_PROCESS_ENGINE, job, budget, deadline)
-    worker = f"process-{os.getpid()}"
-    return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()

@@ -27,7 +27,7 @@ class RunStarted:
 
     total_jobs: int
     jobs: int  # worker count
-    backend: str  # "serial" | "thread" | "process"
+    backend: str  # "serial" | "thread"
     deadline: Optional[float] = None  # per-edge wall-clock seconds
 
 
@@ -60,7 +60,7 @@ class EdgeFinished:
     status: str  # refuted | witnessed | timeout
     seconds: float
     path_programs: int
-    worker: str  # e.g. "serial", "thread-0", "process-3"
+    worker: str  # e.g. "serial", "thread-0"
     index: int
     total: int
     cached: bool = False  # served from the driver's result cache

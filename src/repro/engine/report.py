@@ -2,8 +2,8 @@
 
 A :class:`RunReport` records, for every edge (or fact) job the driver
 executed, its verdict, effort, wall-clock time, refutation kinds, and the
-worker that ran it, plus run-level metadata (worker count, backend,
-deadline, total wall time). It round-trips through JSON
+worker that ran it, plus run-level metadata (worker count, backend —
+``"serial"`` or ``"thread"`` — deadline, total wall time). It round-trips through JSON
 (``to_json``/``from_json``) so runs can be archived, diffed, and consumed
 by dashboards — the machine-readable counterpart of the human tables in
 :mod:`repro.reporting`.
@@ -81,8 +81,8 @@ class RunReport:
     #: from the span stream when tracing is enabled; empty otherwise.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Cache behavior for the run: per-cache hit/miss counts and rates
-    #: (solver memo, refuted-state cache, term interning)
-    #: merged across process-pool workers, plus the active toggle values.
+    #: (solver memo, refuted-state cache, term interning), plus the active
+    #: toggle values.
     #: See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)
     #: Scheduling behavior for the run: the active policy (``lifo`` /

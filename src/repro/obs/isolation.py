@@ -15,7 +15,7 @@ thread leaves no trace in process-wide state:
 * it has a journal of its own (:mod:`repro.obs.provenance`): it does not
   write into the run's journal, and other threads do not see its one.
 
-Other threads are unaffected, so a replay under the thread backend does
+Other threads are unaffected, so a replay on a pool thread does
 not drop or skew the updates of concurrent jobs. Outside any isolated
 block the hot paths pay one read of :data:`ACTIVE`.
 """

@@ -61,17 +61,6 @@ class Counter:
     def to_dict(self) -> dict:
         return {"type": "counter", "value": self._value}
 
-    def snapshot(self) -> dict:
-        return {"type": "counter", "value": self._value}
-
-    def merge(self, snap: dict) -> None:
-        """Fold another process's counter into this one (values add)."""
-        self.inc(snap.get("value", 0))
-
-    def zero(self) -> None:
-        with self._lock:
-            self._value = 0
-
 
 class Gauge:
     """A value that goes up and down (e.g. live worker count)."""
@@ -101,22 +90,6 @@ class Gauge:
 
     def to_dict(self) -> dict:
         return {"type": "gauge", "value": self._value}
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self._value}
-
-    def merge(self, snap: dict) -> None:
-        """Fold another process's gauge into this one. Gauges describe a
-        momentary level, not a total, so merging takes the max — the
-        peak observed across processes."""
-        value = snap.get("value", 0)
-        with self._lock:
-            if value > self._value:
-                self._value = value
-
-    def zero(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
 
 class Histogram:
@@ -173,50 +146,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        """Full serializable state, including the retained sample buffer
-        (unlike :meth:`to_dict`, which summarizes it as quantiles)."""
-        with self._lock:
-            return {
-                "type": "histogram",
-                "count": self.count,
-                "sum": self.total,
-                "min": self.min,
-                "max": self.max,
-                "values": list(self._values),
-                "stride": self._stride,
-            }
-
-    def merge(self, snap: dict) -> None:
-        """Fold another process's histogram into this one: exact moments
-        add, and the sample buffers concatenate then re-thin to ``keep``."""
-        with self._lock:
-            self.count += snap.get("count", 0)
-            self.total += snap.get("sum", 0.0)
-            for bound, better in (("min", min), ("max", max)):
-                other = snap.get(bound)
-                if other is not None:
-                    ours = getattr(self, bound)
-                    setattr(
-                        self, bound,
-                        other if ours is None else better(ours, other),
-                    )
-            self._values.extend(snap.get("values", []))
-            self._stride = max(self._stride, snap.get("stride", 1))
-            while len(self._values) > self.keep:
-                self._values = self._values[::2]
-                self._stride *= 2
-
-    def zero(self) -> None:
-        with self._lock:
-            self.count = 0
-            self.total = 0.0
-            self.min = None
-            self.max = None
-            self._values = []
-            self._stride = 1
-            self._skip = 0
 
     def to_dict(self) -> dict:
         return {
@@ -280,37 +209,10 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    def zero(self) -> None:
-        """Zero every instrument *in place*, preserving identity — callers
-        holding module-level handles keep reporting into the registry.
-        Used by forked process workers to drop the parent's inherited
-        values so the snapshot they ship back carries only their own."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for inst in instruments:
-            inst.zero()
-
     def to_dict(self) -> dict:
         with self._lock:
             instruments = dict(self._instruments)
         return {name: instruments[name].to_dict() for name in sorted(instruments)}
-
-    def snapshot(self) -> dict:
-        """Serializable state of every instrument, suitable for shipping
-        across a process boundary and merging via :meth:`merge_snapshot`."""
-        with self._lock:
-            instruments = dict(self._instruments)
-        return {name: inst.snapshot() for name, inst in instruments.items()}
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a worker-process registry snapshot into this registry:
-        counters add, gauges take the max, histograms merge samples."""
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        for name, data in snap.items():
-            cls = kinds.get(data.get("type"))
-            if cls is None:
-                continue
-            self._get_or_create(name, cls).merge(data)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

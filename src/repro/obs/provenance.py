@@ -33,11 +33,10 @@ On top of the journal sit the consumers:
   prints: every producer's search tree with the constraint that killed
   each branch.
 
-Journals survive worker pools: thread workers share the process-wide
+Journals survive the worker pool: its threads share the process-wide
 :class:`RunJournal` (``open_search`` is the only synchronized point; each
-search's events are single-writer); process workers journal locally and
-the driver merges their :meth:`RunJournal.drain` payloads back with
-:meth:`RunJournal.absorb`, like the refuted-state cache snapshots.
+search's events are single-writer). The flight recorder copies captured
+searches into a journal of their own with :meth:`RunJournal.absorb`.
 """
 
 from __future__ import annotations
@@ -283,7 +282,7 @@ class RunJournal:
     """Every search journal of one run, in search-start order.
 
     Thread-safe at the granularity the engines need: :meth:`open_search`
-    (and the merge/drain paths) synchronize on one lock; the events inside
+    (and :meth:`absorb`) synchronize on one lock; the events inside
     a :class:`SearchJournal` are only ever written by the engine that
     opened it.
     """
@@ -323,17 +322,9 @@ class RunJournal:
                 out[reason] = out.get(reason, 0) + n
         return dict(sorted(out.items()))
 
-    # -- worker-pool merge --------------------------------------------------
-
-    def drain(self) -> list[dict]:
-        """Serialize and clear: what a process-pool worker sends back after
-        each job (only searches opened since the previous drain)."""
-        with self._lock:
-            done, self._searches = self._searches, []
-        return [sj.to_dict() for sj in done]
-
     def absorb(self, payloads: Iterable[dict]) -> None:
-        """Merge journals drained from a worker into this (parent) journal."""
+        """Append searches given in their :meth:`SearchJournal.to_dict`
+        form (the flight recorder's per-capture journals)."""
         merged = [SearchJournal.from_dict(p) for p in payloads]
         with self._lock:
             self._searches.extend(merged)

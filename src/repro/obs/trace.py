@@ -46,7 +46,7 @@ class SpanRecord:
     """One finished span: the unit handed to sinks and the trace export."""
 
     __slots__ = ("name", "start", "duration", "thread_id", "thread_name",
-                 "span_id", "parent_id", "attrs", "pid", "kind")
+                 "span_id", "parent_id", "attrs", "kind")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class SpanRecord:
         span_id: int,
         parent_id: Optional[int],
         attrs: dict,
-        pid: Optional[int] = None,
         kind: str = "span",
     ) -> None:
         self.name = name
@@ -69,9 +68,6 @@ class SpanRecord:
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs = attrs
-        #: Originating process, set only on spans absorbed from a worker
-        #: process; None means "this process".
-        self.pid = pid
         #: ``"span"`` (a timed interval) or ``"instant"`` (a point event —
         #: rung escalations; Chrome ``ph: i``).
         self.kind = kind
@@ -89,7 +85,7 @@ class SpanRecord:
             "ph": "X",
             "ts": round(self.start * 1e6, 3),
             "dur": round(self.duration * 1e6, 3),
-            "pid": self.pid if self.pid is not None else pid,
+            "pid": pid,
             "tid": self.thread_id,
             "args": args,
         }
@@ -98,20 +94,6 @@ class SpanRecord:
             event["s"] = "t"  # scope: the emitting worker's thread lane
             del event["dur"]
         return event
-
-    def to_dict(self) -> dict:
-        """Plain-data form for shipping across a process boundary."""
-        return {
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "thread_id": self.thread_id,
-            "thread_name": self.thread_name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "attrs": self.attrs,
-            "kind": self.kind,
-        }
 
 
 class _NoopSpan:
@@ -201,9 +183,6 @@ class Tracer:
 
     def __init__(self, max_spans: int = 500_000) -> None:
         self.epoch = time.perf_counter()
-        #: Wall-clock time of the epoch: ``perf_counter`` epochs are
-        #: per-process, so merging worker spans rebases through this.
-        self.wall_epoch = time.time()
         self.max_spans = max_spans
         self.dropped_spans = 0
         self._records: list[SpanRecord] = []
@@ -281,48 +260,6 @@ class Tracer:
         with self._lock:
             return list(self._records)
 
-    def drain(self) -> list[SpanRecord]:
-        """Hand over (and clear) the retained spans — a worker process
-        calls this after each job so spans ship to the parent exactly
-        once."""
-        with self._lock:
-            out = self._records
-            self._records = []
-        return out
-
-    def absorb(
-        self, span_dicts: list[dict], pid: int, wall_epoch: float
-    ) -> None:
-        """Merge spans drained from a worker process (``SpanRecord.to_dict``
-        rows) into this tracer.
-
-        Start times are rebased from the worker's epoch onto ours via the
-        wall clock, span ids are remapped through this tracer's counter so
-        they stay unique, and records keep the worker ``pid`` so the
-        Chrome export shows one process row per worker. Parent links that
-        point outside the batch (a span whose parent shipped in an earlier
-        drain) are cut rather than left dangling. Absorbed spans route
-        through :meth:`_record`, so sinks observe them like local spans."""
-        offset = wall_epoch - self.wall_epoch
-        remap: dict[int, int] = {}
-        for row in span_dicts:
-            remap[row["span_id"]] = self._next_id()
-        for row in span_dicts:
-            self._record(
-                SpanRecord(
-                    name=row["name"],
-                    start=row["start"] + offset,
-                    duration=row["duration"],
-                    thread_id=row["thread_id"],
-                    thread_name=row["thread_name"],
-                    span_id=remap[row["span_id"]],
-                    parent_id=remap.get(row["parent_id"]),
-                    attrs=row.get("attrs", {}),
-                    pid=pid,
-                    kind=row.get("kind", "span"),
-                )
-            )
-
     def phase_totals(self) -> dict[str, float]:
         """Summed seconds per span name — the per-phase timing rollup."""
         totals: dict[str, float] = {}
@@ -344,29 +281,15 @@ class Tracer:
             }
         ]
         records = self.spans()
-        worker_pids: list[int] = sorted(
-            {r.pid for r in records if r.pid is not None and r.pid != pid}
-        )
-        for wpid in worker_pids:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": wpid,
-                    "tid": 0,
-                    "args": {"name": f"repro worker {wpid}"},
-                }
-            )
-        seen_threads: dict[tuple[int, int], str] = {}
+        seen_threads: dict[int, str] = {}
         for record in records:
-            rpid = record.pid if record.pid is not None else pid
-            seen_threads.setdefault((rpid, record.thread_id), record.thread_name)
-        for (rpid, tid), name in sorted(seen_threads.items()):
+            seen_threads.setdefault(record.thread_id, record.thread_name)
+        for tid, name in sorted(seen_threads.items()):
             events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": rpid,
+                    "pid": pid,
                     "tid": tid,
                     "args": {"name": name},
                 }

@@ -33,8 +33,8 @@ from ..obs import metrics
 from .cache import RefutedStateCache
 from .memo import SOLVER_MEMO, SOLVER_PARTITION, LRUCache, SolverMemo, SolverPartition
 
-#: Counters that describe cache behavior; snapshotted per process so the
-#: driver can merge process-pool workers' tallies into one report.
+#: Counters that describe cache behavior: the ``counters`` of the run
+#: report's ``cache`` section.
 CACHE_METRIC_NAMES = (
     "solver.checks",
     "solver.unsat",
@@ -78,8 +78,7 @@ def refresh_intern_gauges() -> None:
 
 
 def cache_stats_snapshot() -> dict:
-    """This process's cumulative cache counters, as a plain dict (cheap to
-    pickle back from process-pool workers)."""
+    """This process's cumulative cache counters, as a plain dict."""
     refresh_intern_gauges()
     out: dict = {}
     for name in CACHE_METRIC_NAMES:
@@ -96,82 +95,79 @@ def _rate(hits: float, misses: float) -> float:
     return hits / total if total else 0.0
 
 
-def cache_report(extra_snapshots: list | None = None) -> dict:
-    """The run report's ``cache`` section: this process's counters merged
-    with any process-pool workers' snapshots, with per-cache hit rates."""
-    merged = cache_stats_snapshot()
-    for snap in extra_snapshots or []:
-        for name, value in snap.items():
-            merged[name] = merged.get(name, 0) + value
+def cache_report() -> dict:
+    """The run report's ``cache`` section: this process's counters, with
+    per-cache hit rates."""
+    counters = cache_stats_snapshot()
     return {
-        "counters": merged,
+        "counters": counters,
         "solver_memo": {
-            "hits": merged.get("solver.memo_hits", 0),
-            "misses": merged.get("solver.memo_misses", 0),
+            "hits": counters.get("solver.memo_hits", 0),
+            "misses": counters.get("solver.memo_misses", 0),
             "hit_rate": _rate(
-                merged.get("solver.memo_hits", 0),
-                merged.get("solver.memo_misses", 0),
+                counters.get("solver.memo_hits", 0),
+                counters.get("solver.memo_misses", 0),
             ),
         },
         "refuted_states": {
-            "hits": merged.get("executor.refuted_cache_hits", 0),
-            "misses": merged.get("executor.refuted_cache_misses", 0),
+            "hits": counters.get("executor.refuted_cache_hits", 0),
+            "misses": counters.get("executor.refuted_cache_misses", 0),
             "hit_rate": _rate(
-                merged.get("executor.refuted_cache_hits", 0),
-                merged.get("executor.refuted_cache_misses", 0),
+                counters.get("executor.refuted_cache_hits", 0),
+                counters.get("executor.refuted_cache_misses", 0),
             ),
         },
         "component_memo": {
-            "hits": merged.get("solver.component_memo_hits", 0),
-            "misses": merged.get("solver.component_memo_misses", 0),
+            "hits": counters.get("solver.component_memo_hits", 0),
+            "misses": counters.get("solver.component_memo_misses", 0),
             "hit_rate": _rate(
-                merged.get("solver.component_memo_hits", 0),
-                merged.get("solver.component_memo_misses", 0),
+                counters.get("solver.component_memo_hits", 0),
+                counters.get("solver.component_memo_misses", 0),
             ),
         },
         "solver_context": {
-            "hits": merged.get("solver.context_hits", 0),
-            "partitioned_queries": merged.get("solver.partitions", 0),
-            "fastpath_unsat": merged.get("solver.fastpath_unsat", 0),
+            "hits": counters.get("solver.context_hits", 0),
+            "partitioned_queries": counters.get("solver.partitions", 0),
+            "fastpath_unsat": counters.get("solver.fastpath_unsat", 0),
         },
         "term_intern": {
-            "hits": merged.get("solver.intern_hits", 0),
-            "misses": merged.get("solver.intern_misses", 0),
+            "hits": counters.get("solver.intern_hits", 0),
+            "misses": counters.get("solver.intern_misses", 0),
             "hit_rate": _rate(
-                merged.get("solver.intern_hits", 0),
-                merged.get("solver.intern_misses", 0),
+                counters.get("solver.intern_hits", 0),
+                counters.get("solver.intern_misses", 0),
             ),
         },
-        "worklist_subsumed": merged.get("executor.worklist_subsumed", 0),
+        "worklist_subsumed": counters.get("executor.worklist_subsumed", 0),
         # Per-tier efficacy: how each answered-without-deciding tier
         # contributed, against the decisions that actually ran.
         "tiers": {
-            "context_hits": merged.get("solver.context_hits", 0),
-            "component_memo_hits": merged.get("solver.component_memo_hits", 0),
-            "whole_query_memo_hits": merged.get("solver.memo_hits", 0),
-            "store_hits": merged.get("store.hits", 0),
-            "fastpath_unsat": merged.get("solver.fastpath_unsat", 0),
-            "decisions": merged.get("solver.checks", 0),
+            "context_hits": counters.get("solver.context_hits", 0),
+            "component_memo_hits": counters.get("solver.component_memo_hits", 0),
+            "whole_query_memo_hits": counters.get("solver.memo_hits", 0),
+            "store_hits": counters.get("store.hits", 0),
+            "fastpath_unsat": counters.get("solver.fastpath_unsat", 0),
+            "decisions": counters.get("solver.checks", 0),
         },
-        "store": _store_section(merged),
+        "store": _store_section(counters),
     }
 
 
-def _store_section(merged: dict) -> dict:
-    """The persistent verdict store's slice of the run report: merged
-    hit/miss/write/evict counters (this process + any workers), plus the
-    open store's durable identity when one is active."""
+def _store_section(counters: dict) -> dict:
+    """The persistent verdict store's slice of the run report: this
+    process's hit/miss/write/evict counters, plus the open store's durable
+    identity when one is active."""
     from . import store as _store
 
     section = {
         "enabled": _store.ACTIVE is not None,
-        "hits": merged.get("store.hits", 0),
-        "misses": merged.get("store.misses", 0),
-        "writes": merged.get("store.writes", 0),
-        "evictions": merged.get("store.evictions", 0),
-        "errors": merged.get("store.errors", 0),
+        "hits": counters.get("store.hits", 0),
+        "misses": counters.get("store.misses", 0),
+        "writes": counters.get("store.writes", 0),
+        "evictions": counters.get("store.evictions", 0),
+        "errors": counters.get("store.errors", 0),
         "hit_rate": _rate(
-            merged.get("store.hits", 0), merged.get("store.misses", 0)
+            counters.get("store.hits", 0), counters.get("store.misses", 0)
         ),
     }
     if _store.ACTIVE is not None:

@@ -28,18 +28,10 @@ mutations single-threaded, data races otherwise. A cache instance must
 never be shared across different programs/points-to results/roots; the
 driver scopes one per run.
 
-Two sharing mechanisms layer on top:
-
-* **snapshot/merge** — process-pool workers cannot share the in-process
-  cache, so each ships :meth:`snapshot` (hit/miss totals plus per-point
-  hit counts) back with its results and the driver folds them in with
-  :meth:`merge_snapshot`, which *sums* — a worker's tallies add to the
-  parent's, they never replace them;
-* **persistence** — :meth:`bind_store` seeds the cache from the
-  :mod:`repro.perf.store` verdict store (entries proven by earlier runs
-  over the same program fingerprint) and write-through-persists every
-  entry this run proves, so the next cold start begins where this one
-  ended.
+**Persistence** layers on top: :meth:`bind_store` seeds the cache from
+the :mod:`repro.perf.store` verdict store (entries proven by earlier runs
+over the same program fingerprint) and write-through-persists every entry
+this run proves, so the next cold start begins where this one ended.
 """
 
 from __future__ import annotations
@@ -89,8 +81,7 @@ class RefutedStateCache:
         self._locks = [threading.Lock() for _ in range(stripes)]
         self._hits = 0
         self._misses = 0
-        #: Per-point hit counts — the LRU signal for the persistent store
-        #: and the payload process-pool merges must *sum*, never reset.
+        #: Per-point hit counts — the LRU signal for the persistent store.
         self._point_hits: dict[tuple, int] = {}
         self._tally_lock = threading.Lock()
         self._store = None
@@ -165,26 +156,6 @@ class RefutedStateCache:
         with self._tally_lock:
             tallies = dict(self._point_hits)
         self._store.note_refuted_hits(self._store_scope, tallies)
-
-    def snapshot(self) -> dict:
-        """This cache's tallies as plain data (cheap to pickle back from a
-        process-pool worker)."""
-        with self._tally_lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "point_hits": dict(self._point_hits),
-            }
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a worker's :meth:`snapshot` into this cache. All tallies
-        are **summed** — merging must never reset a count, or per-entry
-        hit history silently vanishes whenever the process pool is used."""
-        with self._tally_lock:
-            self._hits += snap.get("hits", 0)
-            self._misses += snap.get("misses", 0)
-            for key, count in snap.get("point_hits", {}).items():
-                self._point_hits[key] = self._point_hits.get(key, 0) + count
 
     def clear(self) -> None:
         for segment, lock in zip(self._stripes, self._locks):

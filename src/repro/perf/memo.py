@@ -93,9 +93,9 @@ class SolverMemo:
     """The solver front-end's memo tables (+ master switch).
 
     ``enabled`` is process-wide: the :class:`~repro.symbolic.executor.Engine`
-    sets it from ``SearchConfig.memoize_solver`` at construction, and the
-    process-pool initializer replays the same config in workers, so one
-    flag consistently governs a whole run.
+    sets it from ``SearchConfig.memoize_solver`` at construction, and
+    every engine of a run shares one config, so one flag consistently
+    governs the whole run.
 
     ``check`` keys whole-query verdicts (the monolithic solver path);
     ``component`` keys per-component verdicts (the relevance-partitioned

@@ -31,9 +31,9 @@ Concurrency and crash safety:
 * the database runs in WAL mode with ``synchronous=NORMAL``: readers
   never block the writer, a crash loses at most the last unflushed batch,
   never the file;
-* process-pool workers and concurrent ``repro serve`` sessions each open
-  the same file; cross-process safety is sqlite's own locking plus a
-  ``busy_timeout`` so batch writers queue instead of failing.
+* concurrent runs and ``repro serve`` sessions each open the same file;
+  cross-process safety is sqlite's own locking plus a ``busy_timeout`` so
+  batch writers queue instead of failing.
 
 Invalidation is by fingerprint, never by patching rows: the file records
 (schema version, solver fingerprint) at creation, and any mismatch —
@@ -77,8 +77,8 @@ DB_NAME = "verdicts.sqlite"
 #: Default row cap per table (verdicts / refuted) before LRU eviction.
 DEFAULT_MAX_ENTRIES = 1 << 20
 
-#: Seconds between background flushes; small enough that process-pool
-#: workers rarely lose work even on abrupt shutdown.
+#: Seconds between background flushes; small enough that a run rarely
+#: loses work even on abrupt shutdown.
 FLUSH_INTERVAL = 0.25
 
 _HITS = metrics.counter("store.hits")
@@ -537,7 +537,7 @@ def attach(cache_dir: Optional[str]) -> Optional[VerdictStore]:
 
     Called from ``Engine.__init__`` exactly like the ``SOLVER_MEMO``
     enable flag, so one engine construction consistently governs a whole
-    run — including process-pool workers, which replay the same config.
+    run.
     Idempotent for the same directory; switching directories closes the
     previous store first. Any validation failure (corruption, schema or
     fingerprint mismatch) warns once per directory and leaves the run on
@@ -588,7 +588,7 @@ def deactivate() -> None:
 
 def _close_if_active(store: VerdictStore) -> None:
     # atexit hook: flush the write-behind queue on interpreter shutdown
-    # (process-pool workers exit without ever calling driver.close()).
+    # (a caller that never closes its driver still keeps its verdicts).
     if ACTIVE is store:
         deactivate()
 

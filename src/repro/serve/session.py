@@ -165,7 +165,6 @@ class ProgramSession:
         jobs: int = 1,
         deadline: Optional[float] = None,
         budget: Optional[int] = None,
-        backend: Optional[str] = None,
         journal: bool = False,
     ) -> None:
         self._source = source
@@ -184,7 +183,6 @@ class ProgramSession:
         self._policy = context_policy
         self._jobs = jobs
         self._deadline = deadline
-        self._backend = backend
         self._journal = None
         if journal:
             self._journal = provenance.get_journal() or provenance.install()
@@ -222,7 +220,6 @@ class ProgramSession:
             self._config,
             jobs=self._jobs,
             deadline=self._deadline,
-            backend=self._backend,
             on_event=self.hub.sink,
         )
 

@@ -18,8 +18,8 @@ Hashes are precomputed once, equality takes the identity fast path, and
 atom sets (the solver-memoization keys, query histories, entailment
 checks) dedupe in O(1) per element. The table is capped — when full it is
 cleared, which only costs future re-interning, never correctness: equality
-remains structural between non-shared instances (e.g. after crossing a
-process-pool boundary).
+remains structural between non-shared instances (e.g. refuted queries
+unpickled from the persistent verdict store).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class LinExpr:
         return eq if eq is NotImplemented else not eq
 
     def __reduce__(self):
-        # Re-intern on unpickle (process-pool crossings).
+        # Re-intern on unpickle (the verdict store's pickled queries).
         return (LinExpr, (self.coeffs, self.const))
 
     def __repr__(self) -> str:

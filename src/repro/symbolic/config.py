@@ -106,7 +106,7 @@ class SearchConfig:
     #: Persistent cross-run verdict store directory (CLI ``--cache-dir``,
     #: env ``REPRO_CACHE_DIR``): solver verdicts and refuted states are
     #: read from and written back to ``<dir>/verdicts.sqlite``, shared
-    #: across runs, process-pool workers, and ``repro serve`` restarts.
+    #: across runs and ``repro serve`` restarts.
     #: ``None`` (the default) disables persistence entirely.
     cache_dir: Optional[str] = None
 

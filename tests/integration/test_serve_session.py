@@ -216,23 +216,24 @@ class TestLifecycle:
             session.close()
 
 
-class TestStdioTransport:
-    def _drive(self, session, requests):
-        stdin = io.StringIO(
-            "".join(json.dumps(r) + "\n" for r in requests)
-        )
-        stdout = io.StringIO()
-        assert serve_stdio(session, stdin=stdin, stdout=stdout) == 0
-        lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
-        ready, responses = lines[0], lines[1:]
-        assert ready["ready"] and ready["ok"]
-        return responses
+def _drive(session, requests):
+    """Send ``requests`` through the stdio transport; return the responses
+    after the ready line."""
+    stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    stdout = io.StringIO()
+    assert serve_stdio(session, stdin=stdin, stdout=stdout) == 0
+    lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
+    ready, responses = lines[0], lines[1:]
+    assert ready["ready"] and ready["ok"]
+    return responses
 
+
+class TestStdioTransport:
     def test_full_round_trip(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)
         edited = lifecycle_edit(lifecycle_source, screen=EDITED)
         try:
-            responses = self._drive(
+            responses = _drive(
                 session,
                 [
                     {"id": 1, "op": "analyze", "params": REACH_PARAMS},
@@ -294,6 +295,57 @@ class TestStdioTransport:
             assert "exactly one of source=" in response["error"]["message"]
         finally:
             session.close()
+
+
+#: One request per client whose selector is not a string, with the field
+#: and type name the error must carry.
+NON_STRING_SELECTORS = [
+    ({**REACH_PARAMS, "root_class": 5}, "root_class", "int"),
+    ({"client": "reachability", "site": 5}, "site", "int"),
+    ({"client": "immutability", "class_name": {"a": 1}}, "class_name", "dict"),
+    (
+        {"client": "encapsulation", "owner_class": "A", "field_name": ["f"]},
+        "field_name",
+        "list",
+    ),
+    ({"client": "casts", "class_name": 7}, "class_name", "int"),
+]
+
+
+class TestNonStringSelectors:
+    """A selector that is not a string is an error, never a verdict."""
+
+    def test_serve_wire_answers_with_errors(self, lifecycle_source):
+        session = ProgramSession(lifecycle_source, include_library=False)
+        try:
+            responses = _drive(
+                session,
+                [
+                    {"id": i, "op": "analyze", "params": params}
+                    for i, (params, _, _) in enumerate(NON_STRING_SELECTORS)
+                ],
+            )
+        finally:
+            session.close()
+        assert len(responses) == len(NON_STRING_SELECTORS)
+        for response, (_, field, kind) in zip(
+            responses, NON_STRING_SELECTORS
+        ):
+            assert not response["ok"], response
+            assert response["error"]["type"] == "ValueError"
+            message = response["error"]["message"]
+            assert f"{field}=" in message and kind in message, message
+
+    @pytest.mark.parametrize(
+        "params,field,kind",
+        NON_STRING_SELECTORS,
+        ids=[f"{p['client']}-{f}" for p, f, _ in NON_STRING_SELECTORS],
+    )
+    def test_api_analyze_raises(self, lifecycle_source, params, field, kind):
+        from repro.api import analyze
+
+        with pytest.raises(ValueError, match=f"{field}=.*{kind}"):
+            analyze(source=lifecycle_source, **params)
 
 
 class TestTelemetryOps:

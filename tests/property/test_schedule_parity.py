@@ -135,7 +135,7 @@ def test_portfolio_matches_single_rung_for_all_four_clients(source):
 )
 @given(programs())
 def test_thread_pool_matches_serial_for_all_four_clients(source):
-    pooled = _verdicts(source, jobs=2, backend="thread")
+    pooled = _verdicts(source, jobs=2)
     serial = _verdicts(source)
     assert _strip_records(pooled) == _strip_records(serial), (
         "the jobs=2 thread pool changed a client outcome\nprogram:\n" + source

@@ -11,8 +11,8 @@ never change an answer. Three layers of evidence:
 * the same claim through :func:`repro.api.analyze` for all four clients
   (their wire renderings must match, and the warm run must actually hit
   the store);
-* the process-pool backend: workers attach the same store directory and
-  their hits surface in the merged run report.
+* the worker pool: ``--jobs 2`` threads share the store, and their hits
+  surface in the run report.
 
 Budgets are generous for the same reason as ``test_memo_parity``: a
 tight budget could flip a TIMEOUT to a verdict across runs and fake a
@@ -169,9 +169,9 @@ class TestClientParity:
         assert populating == cold, f"{client}: populating changed the answer"
         assert warm == cold, f"{client}: a warm store changed the answer"
 
-    def test_process_backend_shares_the_store(self, tmp_path):
-        """``--backend process`` parity: workers attach the same store
-        directory, and their hits surface in the merged run report."""
+    def test_thread_pool_shares_the_store(self, tmp_path):
+        """``--jobs 2`` parity: the pool threads answer from the same
+        store, and their hits surface in the run report."""
         kwargs = CLIENT_REQUESTS["reachability"]
         cache_dir = str(tmp_path)
         SOLVER_MEMO.clear()
@@ -186,7 +186,6 @@ class TestClientParity:
             client="reachability",
             cache_dir=cache_dir,
             jobs=2,
-            backend="process",
             **kwargs,
         )
         assert canon(warm_result) == cold

@@ -285,6 +285,29 @@ class TestWireSchema:
                 {"client": "casts", "source": CAST_SAFE, "steal": True}
             )
 
+    @pytest.mark.parametrize("value", [None, "thread"])
+    def test_from_dict_drops_retired_backend(self, value):
+        """Dicts written before the process backend was removed carry
+        ``"backend": null`` (or ``"thread"``); they still load, and the
+        field is gone from the wire."""
+        current = AnalysisRequest(client="casts", source=CAST_SAFE).to_dict()
+        assert "backend" not in current
+        rebuilt = AnalysisRequest.from_dict({**current, "backend": value})
+        assert rebuilt.to_dict() == current
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("process", "process backend was removed"),
+            ("fiber", "unknown backend 'fiber'"),
+        ],
+    )
+    def test_from_dict_rejects_other_backends(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            AnalysisRequest.from_dict(
+                {"client": "casts", "source": CAST_SAFE, "backend": value}
+            )
+
     def test_from_dict_requires_client(self):
         with pytest.raises(ValueError, match="needs client="):
             AnalysisRequest.from_dict({"source": CAST_SAFE})
@@ -377,45 +400,39 @@ class TestSelectorValidation:
 
 
 class TestParityWithLegacyEntryPoints:
-    """The normalized entry points wrap — not reimplement — the originals."""
+    """The facade answers exactly what the per-client entry points do: the
+    original result shapes (``CastReport`` lists, ``MutationSite`` lists,
+    ``ExposureResult`` lists, ``ReachabilityResult`` lists) come back as
+    ``.results`` either way."""
 
     def test_casts_parity(self):
         pta = pta_of(CAST_UNSAFE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_casts
-
-            legacy = check_casts(pta)
-        modern = analyze_casts(pta)
-        assert [(r.label, r.status) for r in legacy] == [
-            (r.label, r.status) for r in modern.results
+        direct = analyze_casts(pta)
+        facade = analyze(client="casts", pta=pta)
+        assert facade.verified == direct.verified
+        assert [(r.label, r.status) for r in direct.results] == [
+            (r.label, r.status) for r in facade.results
         ]
 
     def test_immutability_parity(self):
         pta = pta_of(MUTATED_SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_immutable
-
-            legacy = check_immutable(pta, "Point")
-        modern = analyze_immutability(pta, "Point")
-        assert modern.verified == legacy.verified
-        assert [(s.label, s.status) for s in legacy.sites] == [
-            (s.label, s.status) for s in modern.results
+        direct = analyze_immutability(pta, "Point")
+        facade = analyze(client="immutability", pta=pta, class_name="Point")
+        assert facade.verified == direct.verified
+        assert [(s.label, s.status) for s in direct.results] == [
+            (s.label, s.status) for s in facade.results
         ]
 
     def test_encapsulation_parity(self):
         pta = pta_of(LEAKED_REP_SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_encapsulation, encapsulated
-
-            legacy = check_encapsulation(pta, "Owner", "rep")
-            legacy_ok = encapsulated(legacy)
-        modern = analyze_encapsulation(pta, "Owner", "rep")
-        assert modern.verified == legacy_ok
-        assert [(str(r.root), r.status) for r in legacy] == [
-            (str(r.root), r.status) for r in modern.results
+        direct = analyze_encapsulation(pta, "Owner", "rep")
+        facade = analyze(
+            client="encapsulation", pta=pta, owner_class="Owner",
+            field_name="rep",
+        )
+        assert facade.verified == direct.verified is False
+        assert [(str(r.root), r.status) for r in direct.results] == [
+            (str(r.root), r.status) for r in facade.results
         ]
 
     def test_reachability_parity(self):
@@ -429,40 +446,6 @@ class TestParityWithLegacyEntryPoints:
 
 
 class TestDeprecationShims:
-    def test_every_legacy_entry_point_warns(self):
-        from repro import clients
-
-        pta = pta_of(CAST_SAFE)
-        with pytest.warns(DeprecationWarning, match="check_casts"):
-            reports = clients.check_casts(pta)
-        with pytest.warns(DeprecationWarning, match="unsafe_casts"):
-            clients.unsafe_casts(reports)
-        pta_i = pta_of(IMMUTABLE_SRC)
-        with pytest.warns(DeprecationWarning, match="check_immutable"):
-            clients.check_immutable(pta_i, "Point")
-        pta_e = pta_of(LEAKED_REP_SRC)
-        with pytest.warns(DeprecationWarning, match="check_encapsulation"):
-            results = clients.check_encapsulation(pta_e, "Owner", "rep")
-        with pytest.warns(DeprecationWarning, match="encapsulated"):
-            clients.encapsulated(results)
-
-    def test_refute_reachability_shim_warns_and_works(self):
-        from repro.clients import refute_reachability
-        from repro.pointsto import StaticFieldNode, find_heap_path
-        from repro.symbolic import Engine
-
-        pta = pta_of(REACH_VERIFIED_SRC)
-        root = StaticFieldNode("M", "pub")
-        target = next(
-            loc
-            for loc in pta.graph.all_abs_locs()
-            if loc.class_name == "Secret"
-        )
-        assert find_heap_path(pta.graph, root, target) is not None
-        with pytest.warns(DeprecationWarning, match="refute_reachability"):
-            result = refute_reachability(pta, Engine(pta), root, target)
-        assert result.status == "holds"
-
     def test_normalized_entry_points_do_not_warn(self):
         pta = pta_of(CAST_SAFE)
         with warnings.catch_warnings():

@@ -169,6 +169,14 @@ class TestDriverFlags:
         assert main(["bench", "--app", "DroidLife", "--jobs", "2"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
+    def test_backend_flag_is_gone(self, leaky_file, capsys):
+        """``--jobs N`` always runs on threads; the removed process
+        backend's flag is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", leaky_file, "--jobs", "2", "--backend", "process"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestExplainDiff:
     def _reports(self, leaky_file, tmp_path, capsys):
@@ -214,6 +222,28 @@ class TestExplainDiff:
             assert "steals" not in out
         assert main(["explain", "--report", old, "--status"]) == 0
         assert "steals" not in capsys.readouterr().out
+
+    def test_diff_loads_reports_from_the_process_backend(
+        self, leaky_file, tmp_path, capsys
+    ):
+        """Reports written before the process backend was removed carry
+        ``"backend": "process"`` and ``process-<pid>`` workers; they still
+        load and diff against a current report, either side."""
+        import json
+
+        a, b = self._reports(leaky_file, tmp_path, capsys)
+        payload = json.loads(open(a).read())
+        payload["jobs"], payload["backend"] = 2, "process"
+        for record in payload["records"]:
+            record["worker"] = "process-4242"
+        old = str(tmp_path / "old.json")
+        with open(old, "w") as fh:
+            json.dump(payload, fh)
+        for pair in ((old, b), (b, old)):
+            assert main(["explain", "--diff", *pair]) == 0
+            assert "verdict changes:" in capsys.readouterr().out
+        assert main(["explain", "--report", old, "--status"]) == 0
+        assert "backend=process" in capsys.readouterr().out
 
     def test_explain_requires_a_mode(self, capsys):
         assert main(["explain"]) == 2

@@ -192,7 +192,7 @@ class TestRunReport:
 
 class TestFactJobs:
     def test_refute_facts_order_preserved(self):
-        from repro.clients import check_casts
+        from repro.clients import analyze_casts
 
         source = """
         class A { void m() {} }
@@ -207,9 +207,9 @@ class TestFactJobs:
         }
         """
         pta = analyze(compile_program(source))
-        serial = check_casts(pta)
+        serial = analyze_casts(pta).results
         with RefutationDriver(pta, jobs=3) as driver:
-            parallel = check_casts(pta, engine=driver)
+            parallel = analyze_casts(pta, engine=driver).results
         assert [(r.label, r.status) for r in serial] == [
             (r.label, r.status) for r in parallel
         ]

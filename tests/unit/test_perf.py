@@ -1,6 +1,5 @@
 """Unit tests for the repro.perf memoization & subsumption layer."""
 
-import pickle
 
 import pytest
 
@@ -357,54 +356,43 @@ class TestRefutedStateCache:
             RefutedStateCache(stripes=0)
 
 
-class TestRefutedCacheSnapshotMerge:
-    def test_snapshot_carries_per_entry_hit_counts(self):
+class _TallyStore:
+    """Records what :meth:`RefutedStateCache.flush_store_tallies` pushes."""
+
+    def __init__(self):
+        self.tallies = []
+
+    def load_refuted(self, scope):
+        return []
+
+    def note_refuted_hits(self, scope, tallies):
+        self.tallies.append((scope, tallies))
+
+
+class TestRefutedCacheStoreTallies:
+    def test_flush_carries_per_entry_hit_counts(self):
         cache = RefutedStateCache()
+        store = _TallyStore()
+        cache.bind_store(store, "scope-1")
         weak = query_with_region(frozenset({A, B}))
-        cache.add_many([(("loop", 1), weak)])
+        cache.seed([(("loop", 1), weak)])
         cache.subsumes(("loop", 1), query_with_region(frozenset({A})))
         cache.subsumes(("loop", 1), query_with_region(frozenset({A})))
         cache.subsumes(("loop", 2), query_with_region(frozenset({A})))
-        snap = cache.snapshot()
-        assert snap["hits"] == 2 and snap["misses"] == 1
-        assert snap["point_hits"] == {("loop", 1): 2}
-
-    def test_merge_sums_tallies_never_resets(self):
-        """The process-pool invariant: folding a worker snapshot into the
-        parent must *add* to the parent's per-entry hit counts — a merge
-        that replaced them would silently lose the cross-run LRU signal
-        every time ``--backend process`` is used."""
-        parent = RefutedStateCache()
-        weak = query_with_region(frozenset({A, B}))
-        parent.add_many([(("loop", 1), weak)])
-        parent.subsumes(("loop", 1), query_with_region(frozenset({A})))
-        before = parent.snapshot()
-        assert before["point_hits"] == {("loop", 1): 1}
-
-        worker = {"hits": 3, "misses": 2,
-                  "point_hits": {("loop", 1): 2, ("entry", "m"): 1}}
-        parent.merge_snapshot(worker)
-        after = parent.snapshot()
-        assert after["hits"] == before["hits"] + 3
-        assert after["misses"] == before["misses"] + 2
-        assert after["point_hits"] == {("loop", 1): 3, ("entry", "m"): 1}
-
-    def test_merge_accumulates_across_workers(self):
-        parent = RefutedStateCache()
-        for _ in range(3):
-            parent.merge_snapshot(
-                {"hits": 1, "misses": 1, "point_hits": {("loop", 7): 4}}
-            )
-        snap = parent.snapshot()
-        assert snap["hits"] == 3 and snap["misses"] == 3
-        assert snap["point_hits"] == {("loop", 7): 12}
+        stats = cache.stats()
+        assert stats["hits"] == 2 and stats["misses"] == 1
+        cache.flush_store_tallies()
+        assert store.tallies == [("scope-1", {("loop", 1): 2})]
 
     def test_clear_resets_point_hits(self):
         cache = RefutedStateCache()
-        cache.merge_snapshot({"hits": 1, "misses": 0,
-                              "point_hits": {("loop", 1): 1}})
+        store = _TallyStore()
+        cache.bind_store(store, "scope-1")
+        cache.seed([(("loop", 1), query_with_region(frozenset({A, B})))])
+        cache.subsumes(("loop", 1), query_with_region(frozenset({A})))
         cache.clear()
-        assert cache.snapshot()["point_hits"] == {}
+        cache.flush_store_tallies()
+        assert store.tallies == [("scope-1", {})]
 
 
 class TestMemoCapacity:
@@ -442,21 +430,9 @@ class TestFacade:
         for name in perf.CACHE_METRIC_NAMES:
             assert name in snap
         assert "solver.intern_hits" in snap
-        pickle.dumps(snap)  # must survive the process-pool trip
-
-    def test_cache_report_merges_worker_snapshots(self):
-        base = perf.cache_stats_snapshot()
-        worker = {"solver.memo_hits": 10, "solver.memo_misses": 10}
-        report = perf.cache_report([worker])
-        memo = report["solver_memo"]
-        assert memo["hits"] == base["solver.memo_hits"] + 10
-        assert memo["misses"] == base["solver.memo_misses"] + 10
-        assert 0.0 <= memo["hit_rate"] <= 1.0
 
     def test_hit_rate_zero_when_untouched(self):
-        report = perf.cache_report(
-            [{"executor.refuted_cache_hits": 0, "executor.refuted_cache_misses": 0}]
-        )
+        report = perf.cache_report()
         assert isinstance(report["refuted_states"]["hit_rate"], float)
 
     def test_intern_gauges_refresh(self):

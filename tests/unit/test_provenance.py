@@ -205,15 +205,13 @@ class TestRunJournal:
         provenance.disable()
         assert provenance.get_journal() is None
 
-    def test_drain_and_absorb(self):
+    def test_absorb_appends_serialized_searches(self):
         a = RunJournal()
         sj = a.open_search("e1")
         sj.kill(sj.new_state(0, 1), 1, SOLVER_UNSAT)
         sj.close("refuted")
-        payloads = a.drain()
-        assert a.searches == []
         b = RunJournal()
-        b.absorb(payloads)
+        b.absorb(a.to_dicts())
         assert [s.description for s in b.searches] == ["e1"]
         assert b.attribution() == {SOLVER_UNSAT: 1}
 
@@ -331,12 +329,10 @@ class TestEngineJournaling:
 
 
 class TestAttribution:
-    def _run_driver(self, jobs=1, backend=None):
+    def _run_driver(self, jobs=1):
         book = provenance.install()
         pta = _pta(LOOP_INVARIANT)
-        driver = RefutationDriver(
-            pta, SearchConfig(), jobs=jobs, backend=backend
-        )
+        driver = RefutationDriver(pta, SearchConfig(), jobs=jobs)
         driver.refute_edges(sorted(pta.graph.heap_edges(), key=str))
         report = driver.build_report(app="t", command="check")
         driver.close()
@@ -358,7 +354,7 @@ class TestAttribution:
         assert recount == journal_kills
 
     def test_attribution_survives_the_thread_pool(self):
-        report, book = self._run_driver(jobs=2, backend="thread")
+        report, book = self._run_driver(jobs=2)
         assert report.attribution["kills"] == book.attribution()
         assert report.attribution["total_kills"] >= 1
 
@@ -409,34 +405,29 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# Worker pools: journals, metrics, and spans survive process hops
+# The worker pool: journals, metrics, and spans of pool threads
 # ---------------------------------------------------------------------------
 
 
-class TestProcessPoolObservability:
+class TestThreadPoolObservability:
     @pytest.fixture()
-    def process_run(self):
-        # Forked workers inherit the process-wide solver memo; start cold
-        # so the searches genuinely run (and count) inside the workers
-        # instead of being served from tables warmed by earlier tests.
+    def pool_run(self):
+        # Start the solver memo cold so the searches genuinely run (and
+        # count) on the pool threads instead of being served from tables
+        # warmed by earlier tests.
         from repro.perf.memo import SOLVER_MEMO
 
         SOLVER_MEMO.clear()
         tracer = trace.install()
         book = provenance.install()
         pta = _pta(DEAD_BRANCH)
-        driver = RefutationDriver(
-            pta, SearchConfig(), jobs=2, backend="process"
-        )
-        if driver.backend != "process":
-            trace.disable()
-            provenance.disable()
-            pytest.skip("process backend unavailable on this platform")
+        driver = RefutationDriver(pta, SearchConfig(), jobs=2)
         before = {
             name: metrics.counter(name).value
             for name in (
                 "executor.states_explored",
                 "solver.checks",
+                "driver.jobs_completed",
             )
         }
         driver.refute_edges(sorted(pta.graph.heap_edges(), key=str))
@@ -446,56 +437,43 @@ class TestProcessPoolObservability:
         provenance.disable()
         return report, book, tracer, before
 
-    def test_worker_metrics_merge_into_parent_registry(self, process_run):
-        report, book, tracer, before = process_run
-        # The searches ran in worker processes; without the snapshot merge
-        # the parent's executor/solver counters would not move at all.
+    def test_worker_metrics_reach_the_registry(self, pool_run):
+        report, book, tracer, before = pool_run
+        assert report.backend == "thread"
         assert (
             metrics.counter("executor.states_explored").value
             > before["executor.states_explored"]
         )
         assert metrics.counter("solver.checks").value > before["solver.checks"]
+        assert (
+            metrics.counter("driver.jobs_completed").value
+            == before["driver.jobs_completed"] + 2
+        )
 
-    def test_worker_journals_merge_into_parent(self, process_run):
-        report, book, tracer, before = process_run
+    def test_worker_journals_reach_the_run_journal(self, pool_run):
+        report, book, tracer, before = pool_run
         assert {sj.description for sj in book.searches} == {
             "box0.v -> object0",
             "box0.v -> string0",
         }
+        assert {r.worker for r in report.records} <= {"thread-0", "thread-1"}
         assert report.attribution["kills"] == book.attribution()
 
-    def test_worker_spans_merge_with_distinct_pids(self, process_run):
-        report, book, tracer, before = process_run
-        chrome = tracer.to_chrome_trace()
-        events = chrome["traceEvents"]
-        pids = {e["pid"] for e in events if e["ph"] == "X"}
-        assert len(pids) >= 2  # parent + at least one worker row
-        names = {
-            e["args"]["name"]
+    def test_worker_spans_on_pool_thread_lanes(self, pool_run):
+        report, book, tracer, before = pool_run
+        events = tracer.to_chrome_trace()["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X"]
+        assert len({e["pid"] for e in spans}) == 1  # one process row
+        lanes = {
+            e["tid"]: e["args"]["name"]
             for e in events
-            if e["name"] == "process_name"
+            if e["name"] == "thread_name"
         }
-        assert any(n.startswith("repro worker") for n in names)
-        # Worker searches appear as spans with remapped, unique ids.
-        span_ids = [
-            e["args"]["span_id"] for e in events if e["ph"] == "X"
-        ]
+        searches = [e for e in spans if e["name"] == "executor.search"]
+        assert len(searches) == 2
+        assert all(lanes[e["tid"]].startswith("refute") for e in searches)
+        span_ids = [e["args"]["span_id"] for e in spans]
         assert len(span_ids) == len(set(span_ids))
-        assert any(
-            e["name"] == "executor.search" and e["pid"] != chrome_pid(chrome)
-            for e in events
-            if e["ph"] == "X"
-        )
-
-
-def chrome_pid(chrome) -> int:
-    """The parent pid of a Chrome trace (its first process_name meta)."""
-    return next(
-        e["pid"]
-        for e in chrome["traceEvents"]
-        if e["name"] == "process_name"
-        and e["args"]["name"] == "repro refutation pipeline"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +562,7 @@ class TestExplainCli:
         assert "witness for A.leaked" in out
         assert "A.leaked := this" in out
 
-    def test_process_pool_metrics_flag_reports_worker_counters(
+    def test_thread_pool_metrics_flag_reports_worker_counters(
         self, tmp_path
     ):
         from repro.cli import main
@@ -599,17 +577,16 @@ class TestExplainCli:
                 str(app),
                 "--jobs",
                 "2",
-                "--backend",
-                "process",
                 "--metrics",
                 str(metrics_file),
             ]
         )
         dump = json.loads(metrics_file.read_text())
-        # The searches ran in worker processes; the dump (written after the
-        # driver merged worker snapshots) must include their effort.
+        # The searches ran on pool threads; the dump must include their
+        # effort.
         assert dump["executor.states_explored"]["value"] > before
         assert dump["solver.checks"]["value"] > 0
+        assert dump["driver.jobs_completed"]["value"] > 0
 
     def test_explain_list_and_bad_edge(self, run_artifacts, capsys):
         from repro.cli import main

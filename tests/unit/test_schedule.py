@@ -176,25 +176,15 @@ class TestPortfolio:
             statuses = _statuses(driver.refute_edges(edges), edges)
         assert statuses == baseline
 
-    def test_process_backend_verdicts_match(self, pta, edges, baseline):
-        config = SearchConfig(**PORTFOLIO)
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            statuses = _statuses(driver.refute_edges(edges), edges)
-        assert statuses == baseline
-
     @pytest.mark.parametrize("portfolio", [False, True], ids=["fixed", "portfolio"])
     @pytest.mark.parametrize(
         "setup",
-        [
-            dict(jobs=1),
-            dict(jobs=2, backend="thread"),
-            dict(jobs=2, backend="process"),
-        ],
-        ids=["jobs1", "thread2", "process2"],
+        [dict(jobs=1), dict(jobs=2)],
+        ids=["jobs1", "thread2"],
     )
     def test_facts_run_the_same_ladder(self, pta, setup, portfolio):
         """Fact jobs take the edge jobs' path: the same rung ladder and
-        the same dispatch, inline or on either pool backend."""
+        the same dispatch, inline or on the pool."""
         # mixed_app's leak sinks are static stores; ask about each rhs
         # var. The hard screen's store needs more than rung 0's budget.
         loc = next(iter(pta.graph.all_abs_locs()))
@@ -300,7 +290,7 @@ class TestPathPortfolio:
 
 
 # ---------------------------------------------------------------------------
-# Cooperative deadlines x scheduling (satellite: both backends)
+# Cooperative deadlines x scheduling
 # ---------------------------------------------------------------------------
 
 
@@ -327,14 +317,6 @@ class TestCooperativeDeadlines:
                 assert {r.status for r in again.values()} == {TIMEOUT}
         finally:
             provenance.disable()
-
-    def test_deadline_timeout_and_pool_survives_process(self, pta, edges):
-        config = SearchConfig(deadline_seconds=0.0)
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            results = driver.refute_edges(edges)
-            assert {r.status for r in results.values()} == {TIMEOUT}
-            again = driver.refute_edges(edges)
-            assert {r.status for r in again.values()} == {TIMEOUT}
 
     def test_rung_deadline_timeout_is_provisional(self, pta, edges):
         """A deadline-capped rung attempt (the portfolio's cheap rung)

@@ -476,49 +476,14 @@ class TestMetricsStreamer:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler metrics under the process pool (snapshot/merge)
+# Scheduler metrics under the worker pool
 # ---------------------------------------------------------------------------
 
 
-class TestProcessPoolSchedulerMetrics:
-    def test_synthetic_worker_snapshots_merge_to_sums(self):
-        """Counters add, gauges take the max — merged totals must equal
-        the per-worker sums for every scheduler family."""
-        names = (
-            "driver.priority_inversions",
-            "driver.rung.scheduled.0",
-            "driver.rung.resolved.0",
-            "driver.rung.carryover.0",
-            "driver.rung.scheduled.1",
-        )
-        workers = []
-        for w in range(3):
-            reg = metrics.MetricsRegistry()
-            for i, name in enumerate(names):
-                reg.counter(name).inc(w + i)
-            reg.gauge("pool.workers").set(w)
-            workers.append(reg)
-        parent = metrics.MetricsRegistry()
-        for reg in workers:
-            parent.merge_snapshot(reg.snapshot())
-        for i, name in enumerate(names):
-            expected = sum(w + i for w in range(3))
-            assert parent.counter(name).value == expected, name
-        assert parent.gauge("pool.workers").value == 2
-        # And the merged registry folds into labeled exposition series.
-        text = render_prometheus(parent)
-        assert (
-            'repro_driver_rung_jobs_total{event="scheduled",rung="0"}'
-            f" {sum(w + 1 for w in range(3))}" in text
-        )
-
-    def test_process_backend_portfolio_rung_counters_match_schedule(
-        self, pta, edges
-    ):
-        """Under --backend process the rung ladder runs in the parent:
-        the registry's per-rung counter deltas must equal the report's
-        schedule table exactly (merged totals == per-worker sums is
-        covered above; this pins the end-to-end accounting)."""
+class TestPoolSchedulerMetrics:
+    def test_thread_pool_rung_counters_match_schedule(self, pta, edges):
+        """Under ``--jobs 2`` the registry's per-rung counter deltas must
+        equal the report's schedule table exactly."""
 
         def rung_counts():
             out = {}
@@ -531,9 +496,7 @@ class TestProcessPoolSchedulerMetrics:
 
         before = rung_counts()
         config = SearchConfig(**PORTFOLIO)
-        with RefutationDriver(
-            pta, config, jobs=2, backend="process"
-        ) as driver:
+        with RefutationDriver(pta, config, jobs=2) as driver:
             driver.refute_edges(edges)
             report = driver.build_report(command="check")
         after = rung_counts()
